@@ -2,10 +2,11 @@
 
 A pure-Python library for the joint behaviour of excedances and cyclic
 valleys on the symmetric group: statistics and canonical cycle forms,
-the valley-hopping group actions and their orbits, exact brute-force
-distribution polynomials over conjugacy classes, and closed-form
-counterparts (Eulerian-polynomial products and radical substitutions
-evaluated as truncated power series) verified against the enumeration.
+the valley-hopping group actions and their orbits, exact distribution
+polynomials over conjugacy classes (by a product over cycles, or by
+brute-force enumeration), and closed-form counterparts
+(Eulerian-polynomial products and radical substitutions evaluated as
+truncated power series) verified against the enumeration.
 
 All arithmetic is exact (arbitrary-precision rationals); there is no
 floating point anywhere.
@@ -30,6 +31,7 @@ from .enumeration import (
     dist_exc,
     dist_joint,
     iter_class,
+    joint_counts,
     partitions_of,
     z_lambda,
 )
@@ -116,6 +118,7 @@ __all__ = [
     "z_lambda",
     "class_size",
     "iter_class",
+    "joint_counts",
     "dist_exc",
     "dist_cval",
     "dist_joint",

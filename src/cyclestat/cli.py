@@ -4,20 +4,26 @@ Subcommands:
 
 * ``stats``  -- statistics of one permutation, as a JSON record.
 * ``orbit``  -- its hopping orbit: size, representative, optionally members.
-* ``dist``   -- a distribution polynomial over a class/stratum, by enumeration.
-* ``verify`` -- run a named identity check over a parameter range;
-  one JSON line per instance, exit status 0 iff everything passed.
+* ``dist``   -- a distribution polynomial over a class/stratum, by the
+  factorized route (a product of single-cycle distributions).
+* ``verify`` -- run a named identity check over a parameter range,
+  always against the enumeration route; one JSON line per instance, exit
+  status 0 iff at least one instance of each claim was checked and
+  everything passed. A failing record carries the first differing
+  coefficient as its witness; for ``egf`` the monomial's s and t
+  exponents are the fixed-point and cyclic-valley counts.
 * ``table``  -- machine-readable tables (counts, gamma coefficients,
   Eulerian coefficients) as CSV or JSON lines.
 
 All numeric output is exact (integers or p/q rationals as text, never
 floats) and deterministically ordered, so identical invocations produce
-byte-identical output. The enumeration guardrail defaults to 10^8 class
-members and can be overridden with the environment variable
-``CYCLESTAT_CLASS_CAP``.
+byte-identical output. The guardrail applies only to enumeration, so
+``dist`` never trips it; it defaults to 10^8 class members, and ``verify``
+reads an override from the environment variable ``CYCLESTAT_CLASS_CAP``.
 
 Exit codes: 0 success / all checks passed; 1 at least one check failed;
-2 usage or parse error; 3 enumeration guardrail tripped.
+2 usage or parse error, a bad ``CYCLESTAT_CLASS_CAP``, or a claim with no
+instances in the requested range; 3 enumeration guardrail tripped.
 """
 from __future__ import annotations
 
@@ -26,16 +32,19 @@ import json
 import os
 import sys
 
-from .algebra import GammaExpansionError
+from .algebra import GammaExpansionError, MultiPoly
 from .enumeration import (
     ClassSpec,
     ClassTooLargeError,
+    count_snki,
     dist_cval,
     dist_exc,
     dist_joint,
+    iter_class,
     partitions_of,
 )
 from .formulas import (
+    VerificationReport,
     brenti,
     corollary2_check,
     corollary3_check,
@@ -55,6 +64,7 @@ from .permutations import (
     des,
     parse_permutation,
     stat_counts,
+    stat_sets,
     to_cycle_form,
 )
 
@@ -80,8 +90,15 @@ VERIFY_CLAIMS = (
 
 
 def _class_cap() -> int | None:
+    """The guardrail from ``CYCLESTAT_CLASS_CAP``; None when unset or empty."""
     raw = os.environ.get("CYCLESTAT_CLASS_CAP")
-    return int(raw) if raw else None
+    if not raw:
+        return None
+    if not raw.strip().isdecimal():
+        raise ValueError(
+            f"CYCLESTAT_CLASS_CAP must be a nonnegative integer, got {raw!r}"
+        )
+    return int(raw)
 
 
 def _print_json(record: dict) -> None:
@@ -139,52 +156,46 @@ def cmd_dist(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     compute = {"exc": dist_exc, "cval": dist_cval, "joint": dist_joint}[args.stat]
-    try:
-        poly = compute(spec, cap=_class_cap())
-    except ClassTooLargeError as err:
-        print(f"class too large: {err}", file=sys.stderr)
-        return EXIT_TOO_LARGE
-    print(poly)
+    print(compute(spec))
     return EXIT_OK
 
 
-def _verify_instances(claim: str, n_max: int, lambdas: list[CycleType]):
-    """Yield report-like objects for one claim over the requested range."""
-    if claim in ("brenti", "theorem1", "theorem6", "cor2"):
+def _verify_instances(
+    claim: str, n_max: int, lambdas: list[CycleType], cap: int | None
+):
+    """Yield one JSON record per checked instance of the claim."""
+    if claim in ("brenti", "theorem1", "theorem6"):
+        closed_form, enumerated = {
+            "brenti": (brenti, dist_exc),
+            "theorem1": (theorem1_joint, dist_joint),
+            "theorem6": (theorem6_cval, dist_cval),
+        }[claim]
         for ct in lambdas:
             spec = ClassSpec.of_cycle_type(ct)
-            instance = spec.instance()
-            if claim == "brenti":
-                lhs, rhs = brenti(ct), dist_exc(spec, cap=_class_cap())
-            elif claim == "theorem1":
-                lhs, rhs = theorem1_joint(ct), dist_joint(spec, cap=_class_cap())
-            elif claim == "theorem6":
-                lhs, rhs = theorem6_cval(ct), dist_cval(spec, cap=_class_cap())
-            else:  # cor2
-                try:
-                    corollary2_check(ct)
-                except GammaExpansionError as err:
-                    yield {
-                        "claim": "cor2",
-                        "instance": instance,
-                        "verdict": "fail",
-                        "witness": str(err),
-                    }
-                    continue
-                yield {"claim": "cor2", "instance": instance, "verdict": "pass"}
-                continue
-            verdict = "pass" if lhs == rhs else "fail"
-            record = {"claim": claim, "instance": instance, "verdict": verdict}
-            if verdict == "fail":
-                record["witness"] = {"lhs": str(lhs), "rhs": str(rhs)}
-            yield record
+            yield VerificationReport(
+                claim,
+                spec.instance(),
+                lhs=closed_form(ct),
+                rhs=enumerated(spec, route="enumerate", cap=cap),
+            ).to_json_record()
+    elif claim == "cor2":
+        for ct in lambdas:
+            try:
+                corollary2_check(ct)
+            except GammaExpansionError as err:
+                residual = err.residual
+            else:
+                residual = MultiPoly.zero()
+            yield VerificationReport(
+                "cor2",
+                ClassSpec.of_cycle_type(ct).instance(),
+                lhs=residual,
+                rhs=MultiPoly.zero(),
+            ).to_json_record()
     elif claim == "lemma1":
-        from .enumeration import iter_class
-        from .permutations import stat_sets
-
         for n in range(1, n_max + 1):
             for ct in partitions_of(n):
-                for p in iter_class(ClassSpec.of_cycle_type(ct), cap=_class_cap()):
+                for p in iter_class(ClassSpec.of_cycle_type(ct), cap=cap):
                     if stat_sets(p).cdasc_set:
                         continue  # one representative per orbit
                     yield lemma1_check(p).to_json_record()
@@ -210,27 +221,19 @@ def _verify_instances(claim: str, n_max: int, lambdas: list[CycleType]):
                 for i in range(0, (n - k) // 2 + 1):
                     yield corollary4_check(n, k, i).to_json_record()
     elif claim == "egf":
-        from .enumeration import count_snki
-
         if n_max < 1:
             return
         table = egf_snki(n_max)
         for n in range(1, n_max + 1):
-            bad = None
-            for k in range(0, n + 1):
-                for i in range(0, (n - k) // 2 + 1):
-                    want = count_snki(n, k, i)
-                    got = table.get((n, k, i), 0)
-                    if want != got:
-                        bad = {"n": n, "k": k, "i": i, "egf": got, "enum": want}
-            record = {
-                "claim": "egf",
-                "instance": {"n": n},
-                "verdict": "fail" if bad else "pass",
-            }
-            if bad:
-                record["witness"] = bad
-            yield record
+            cells = [(k, i) for k in range(n + 1) for i in range((n - k) // 2 + 1)]
+            yield VerificationReport(
+                "egf",
+                {"n": n},
+                lhs=MultiPoly({(k, i): table.get((n, k, i), 0) for k, i in cells}),
+                rhs=MultiPoly(
+                    {(k, i): count_snki(n, k, i, route="enumerate") for k, i in cells}
+                ),
+            ).to_json_record()
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown claim {claim!r}")
 
@@ -241,6 +244,11 @@ def _explicit_lambda(lambdas: list[CycleType], n_max: int) -> bool:
 
 
 def cmd_verify(args) -> int:
+    try:
+        cap = _class_cap()
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
     if args.lam:
         try:
             lambdas = [CycleType.from_text(args.lam)]
@@ -253,16 +261,29 @@ def cmd_verify(args) -> int:
         lambdas = [ct for n in range(0, n_max + 1) for ct in partitions_of(n)]
     claims = list(VERIFY_CLAIMS[:-1]) if args.claim == "all" else [args.claim]
     failures = 0
+    unchecked = []
     try:
         for claim in claims:
-            for record in _verify_instances(claim, n_max, lambdas):
+            checked = 0
+            for record in _verify_instances(claim, n_max, lambdas, cap):
+                checked += 1
                 if record["verdict"] != "pass":
                     failures += 1
                 _print_json(record)
+            if not checked:
+                unchecked.append(claim)
     except ClassTooLargeError as err:
         print(f"class too large: {err}", file=sys.stderr)
         return EXIT_TOO_LARGE
-    return EXIT_OK if failures == 0 else EXIT_FAIL
+    if unchecked:
+        print(
+            f"error: no instances to check for {', '.join(unchecked)}"
+            " in the requested range",
+            file=sys.stderr,
+        )
+    if failures:
+        return EXIT_FAIL
+    return EXIT_USAGE if unchecked else EXIT_OK
 
 
 def _emit_table(rows: list[dict], fields: list[str], fmt: str) -> None:
@@ -295,7 +316,11 @@ def cmd_table(args) -> int:
                 print(f"{row['n']},{row['coefficients']}")
         return EXIT_OK
     if args.what == "snki":
-        table = egf_snki(args.n_max)
+        try:
+            table = egf_snki(args.n_max)
+        except ValueError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_USAGE
         rows = [
             {"n": n, "k": k, "i": i, "count": count}
             for (n, k, i), count in sorted(table.items())
@@ -345,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_orbit.add_argument("--members", action="store_true", help="list all members")
     p_orbit.set_defaults(func=cmd_orbit)
 
-    p_dist = sub.add_parser("dist", help="distribution polynomial by enumeration")
+    p_dist = sub.add_parser("dist", help="distribution polynomial over a class")
     p_dist.add_argument("spec", help="partition '1,5,5' / '1^1 5^2', or 'n=..,k=..[,i=..]'")
     p_dist.add_argument("--stat", choices=("exc", "cval", "joint"), default="exc")
     p_dist.set_defaults(func=cmd_dist)

@@ -3,7 +3,9 @@
 Each operation here has a brute-force counterpart in
 :mod:`cyclestat.enumeration`; the point of this module is to compute the
 same polynomials along an entirely different route and to package the
-comparison as machine-checkable reports.
+comparison as machine-checkable reports. Every check compares against
+``route="enumerate"``, which visits each member, never against the
+factorized default route.
 
 The routes implemented:
 
@@ -52,6 +54,7 @@ from .enumeration import (
     dist_cval,
     dist_exc,
     dist_joint,
+    joint_counts,
     z_lambda,
 )
 from .hopping import orbit
@@ -271,14 +274,11 @@ def theorem4_check(spec: ClassSpec) -> VerificationReport:
     dist_exc * (1+s)^(n-k) = sum over members of
     (s+t)^(exc-cval) (1+st)^(n-k-cval-exc) t^cval (1+s)^(2 cval).
     """
-    from .enumeration import _combined_counts
-
     n, k = spec.n, spec.fixed_point_count
-    lhs = dist_exc(spec) * (MultiPoly.one() + MultiPoly.s()) ** (n - k)
-    profiles = [
-        (cval, exc, mult)
-        for (cval, exc), mult in sorted(_combined_counts(spec, None).items())
-    ]
+    one_plus_s = MultiPoly.one() + MultiPoly.s()
+    lhs = dist_exc(spec, route="enumerate") * one_plus_s ** (n - k)
+    counts = joint_counts(spec, route="enumerate")
+    profiles = [(cval, exc, mult) for (cval, exc), mult in sorted(counts.items())]
     rhs = _orbit_weight_sum(profiles, n, k)
     return VerificationReport(
         claim="theorem4", instance=spec.instance(), lhs=lhs, rhs=rhs
@@ -292,8 +292,8 @@ def theorem5_check(spec: ClassSpec) -> VerificationReport:
     where c_i is the number of members with i cyclic valleys.
     """
     n, k = spec.n, spec.fixed_point_count
-    lhs = dist_exc(spec) * 2 ** (n - k)
-    cval_poly = dist_cval(spec)
+    lhs = dist_exc(spec, route="enumerate") * 2 ** (n - k)
+    cval_poly = dist_cval(spec, route="enumerate")
     one_plus_t = MultiPoly.one() + MultiPoly.t()
     rhs = MultiPoly.zero()
     for i in range(cval_poly.t_degree() + 1):
@@ -345,11 +345,9 @@ def theorem2_gamma(spec: ClassSpec) -> Theorem2Gamma:
     >>> g.expansion.gammas, g.by_no_double_ascent, g.consistent
     ((Fraction(0, 1), Fraction(1, 1)), (0, 1), True)
     """
-    from .enumeration import _combined_counts
-
     n, k = spec.n, spec.fixed_point_count
-    expansion = gamma_expand(dist_exc(spec), n - k)
-    counts = _combined_counts(spec, None)
+    expansion = gamma_expand(dist_exc(spec, route="enumerate"), n - k)
+    counts = joint_counts(spec, route="enumerate")
     width = (n - k) // 2 + 1
     no_dasc = [0] * width
     scaled = [Fraction(0)] * width
@@ -377,7 +375,7 @@ def theorem2_check(spec: ClassSpec) -> VerificationReport:
     """
     instance = spec.instance()
     n, k = spec.n, spec.fixed_point_count
-    lhs = dist_exc(spec)
+    lhs = dist_exc(spec, route="enumerate")
     try:
         data = theorem2_gamma(spec)
     except GammaExpansionError:
@@ -406,7 +404,7 @@ def corollary2_check(ct: CycleType) -> list[GammaExpansion]:
     nonnegative integer gamma values. Raises GammaExpansionError if any
     coefficient is asymmetric (which would falsify the claim).
     """
-    joint = dist_joint(ClassSpec.of_cycle_type(ct))
+    joint = dist_joint(ClassSpec.of_cycle_type(ct), route="enumerate")
     m = ct.n - ct.fixed_point_count
     expansions = []
     for i in range(joint.s_degree() + 1):
@@ -417,11 +415,11 @@ def corollary2_check(ct: CycleType) -> list[GammaExpansion]:
 def corollary3_check(n: int, k: int) -> VerificationReport:
     """Excedance distribution over the k-fixed-point stratum against
     sum_i count(n,k,i)/2^(n-k-2i) * t^i (1+t)^(n-k-2i)."""
-    lhs = dist_exc(ClassSpec.with_fixed_points(n, k))
+    lhs = dist_exc(ClassSpec.with_fixed_points(n, k), route="enumerate")
     one_plus_t = MultiPoly.one() + MultiPoly.t()
     rhs = MultiPoly.zero()
     for i in range((n - k) // 2 + 1):
-        count = count_snki(n, k, i)
+        count = count_snki(n, k, i, route="enumerate")
         if count:
             weight = Fraction(count, 2 ** (n - k - 2 * i))
             rhs = rhs + MultiPoly.monomial(0, i, weight) * one_plus_t ** (n - k - 2 * i)
@@ -433,8 +431,8 @@ def corollary3_check(n: int, k: int) -> VerificationReport:
 def corollary4_check(n: int, k: int, i: int) -> VerificationReport:
     """Excedance distribution over a single (fixed points, valleys) cell
     against count/2^(n-k-2i) * t^i (1+t)^(n-k-2i)."""
-    lhs = dist_exc(ClassSpec.with_fixed_points_and_valleys(n, k, i))
-    count = count_snki(n, k, i)
+    lhs = dist_exc(ClassSpec.with_fixed_points_and_valleys(n, k, i), route="enumerate")
+    count = count_snki(n, k, i, route="enumerate")
     weight = Fraction(count, 2 ** (n - k - 2 * i))
     rhs = MultiPoly.monomial(0, i, weight) * (MultiPoly.one() + MultiPoly.t()) ** (
         n - k - 2 * i

@@ -83,7 +83,7 @@ def all_subsets(letters):
 
 
 def test_criterion_01_showcase_enumeration():
-    poly = dist_joint(ClassSpec.parse("1,5,5"))
+    poly = dist_joint(ClassSpec.parse("1,5,5"), route="enumerate")
     ok = poly == SHOWCASE and poly.coefficient_sum() == 798336
     report(ok, "criterion 1: enumerated joint distribution of the 798,336-member class")
 
@@ -98,7 +98,7 @@ def test_criterion_03_product_formula_oracle():
         str(ct)
         for n in range(0, 9)
         for ct in partitions_of(n)
-        if brenti(ct) != dist_exc(ClassSpec.of_cycle_type(ct))
+        if brenti(ct) != dist_exc(ClassSpec.of_cycle_type(ct), route="enumerate")
     ]
     report(not bad, f"criterion 3: product formula vs enumeration, all classes n<=8 {bad}")
 
@@ -108,9 +108,9 @@ def test_criterion_04_dual_route_closed_forms():
     for n in range(0, 9):
         for ct in partitions_of(n):
             spec = ClassSpec.of_cycle_type(ct)
-            if theorem1_joint(ct) != dist_joint(spec):
+            if theorem1_joint(ct) != dist_joint(spec, route="enumerate"):
                 bad.append(("joint", str(ct)))
-            if theorem6_cval(ct) != dist_cval(spec):
+            if theorem6_cval(ct) != dist_cval(spec, route="enumerate"):
                 bad.append(("cval", str(ct)))
     report(not bad, f"criterion 4: both substitution formulas vs enumeration, n<=8 {bad}")
 
@@ -243,7 +243,7 @@ def test_criterion_08_generating_function_cross_check():
     for n in range(1, 9):
         for k in range(0, n + 1):
             for i in range(0, (n - k) // 2 + 1):
-                if table.get((n, k, i), 0) != count_snki(n, k, i):
+                if table.get((n, k, i), 0) != count_snki(n, k, i, route="enumerate"):
                     bad.append((n, k, i))
     # no spurious entries either
     for (n, k, i), value in table.items():

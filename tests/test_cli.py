@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+import cyclestat.cli
+from cyclestat.algebra import MultiPoly
 from cyclestat.cli import (
+    EXIT_FAIL,
     EXIT_OK,
     EXIT_TOO_LARGE,
     EXIT_USAGE,
@@ -81,8 +84,12 @@ class TestDist:
         assert code == EXIT_USAGE and "error" in err
 
     def test_guardrail_distinct_exit(self, capsys, monkeypatch):
+        # dist factorizes and visits no members; the guardrail guards
+        # verify's enumeration
         monkeypatch.setenv("CYCLESTAT_CLASS_CAP", "10")
-        code, _, err = run(capsys, "dist", "1,2,2", "--stat", "exc")
+        code, out, _ = run(capsys, "dist", "1,2,2", "--stat", "exc")
+        assert code == EXIT_OK and out.strip() == "15*t^2"
+        code, _, err = run(capsys, "verify", "brenti", "--lambda", "1,2,2")
         assert code == EXIT_TOO_LARGE
         assert "class too large" in err
 
@@ -122,6 +129,45 @@ class TestVerify:
             main(["verify", "theorem99"])
         assert excinfo.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "lemma1", "--lambda", "3"),
+            ("verify", "theorem1", "--n-max", "-1"),
+        ],
+    )
+    def test_no_instances_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert not out
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert argv[1] in err
+
+    @pytest.mark.parametrize("cap", ["abc", "-5", "1.5"])
+    def test_bad_class_cap_is_a_usage_error(self, capsys, monkeypatch, cap):
+        monkeypatch.setenv("CYCLESTAT_CLASS_CAP", cap)
+        code, out, err = run(capsys, "verify", "brenti", "--lambda", "3")
+        assert code == EXIT_USAGE
+        assert not out
+        assert err.startswith("error:") and "CYCLESTAT_CLASS_CAP" in err
+
+    def test_failure_carries_first_differing_coefficient(self, capsys, monkeypatch):
+        real = cyclestat.cli.theorem1_joint
+
+        def off_by_one(ct):
+            return real(ct) + MultiPoly.monomial(2, 3)
+
+        monkeypatch.setattr(cyclestat.cli, "theorem1_joint", off_by_one)
+        code, out, _ = run(capsys, "verify", "theorem1", "--lambda", "1,2,2")
+        assert code == EXIT_FAIL
+        record = json.loads(out)
+        assert record["verdict"] == "fail"
+        assert record["witness"] == {
+            "monomial": {"s": 2, "t": 3},
+            "lhs": "1",
+            "rhs": "0",
+        }
+
 
 class TestTable:
     def test_eulerian_csv(self, capsys):
@@ -141,7 +187,14 @@ class TestTable:
         assert code == EXIT_OK
         for line in out.splitlines():
             row = json.loads(line)
-            assert row["count"] == count_snki(row["n"], row["k"], row["i"])
+            want = count_snki(row["n"], row["k"], row["i"], route="enumerate")
+            assert row["count"] == want
+
+    def test_snki_empty_range_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "table", "snki", "--n-max", "0")
+        assert code == EXIT_USAGE
+        assert not out
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_gamma_json(self, capsys):
         code, out, _ = run(capsys, "table", "gamma", "--n-max", "3", "--format", "json")

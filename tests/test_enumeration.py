@@ -12,6 +12,7 @@ from cyclestat.enumeration import (
     dist_exc,
     dist_joint,
     iter_class,
+    joint_counts,
     partitions_of,
     z_lambda,
 )
@@ -21,6 +22,8 @@ from conftest import all_perms, oracle_cval, oracle_cycle_sizes, oracle_exc, ora
 
 T = MultiPoly.t()
 ONE = MultiPoly.one()
+
+ROUTES = ("factorize", "enumerate")
 
 PARTITION_COUNTS = {0: 1, 1: 1, 2: 2, 3: 3, 4: 5, 5: 7, 6: 11, 7: 15, 8: 22, 10: 42}
 
@@ -136,41 +139,50 @@ class TestIterClass:
         with pytest.raises(ClassTooLargeError):
             list(iter_class(spec, cap=1000))
         with pytest.raises(ClassTooLargeError):
-            dist_exc(spec, cap=1000)
+            dist_exc(spec, route="enumerate", cap=1000)
+        # the factorized route visits no members, so the cap does not apply
+        assert dist_exc(spec, cap=1000).coefficient_sum() == 798336
 
 
 class TestDistributions:
     def test_exc_examples(self):
-        assert dist_exc(ClassSpec.parse("3")) == T + T**2
-        assert dist_exc(ClassSpec.parse("1,1,1,1")) == ONE
-        assert dist_exc(ClassSpec.parse("n=3,k=0")) == T + T**2
+        def exc(text):
+            return dist_exc(ClassSpec.parse(text), route="enumerate")
+
+        assert exc("3") == T + T**2
+        assert exc("1,1,1,1") == ONE
+        assert exc("n=3,k=0") == T + T**2
 
     def test_cval_examples(self):
-        assert dist_cval(ClassSpec.parse("3")) == 2 * T
-        assert dist_cval(ClassSpec.parse("1,1")) == ONE
-        assert dist_cval(ClassSpec.parse("2")) == T
+        def cval(text):
+            return dist_cval(ClassSpec.parse(text), route="enumerate")
+
+        assert cval("3") == 2 * T
+        assert cval("1,1") == ONE
+        assert cval("2") == T
 
     def test_joint_examples(self):
         s, t = MultiPoly.s(), T
-        assert dist_joint(ClassSpec.parse("3")) == s * t + s * t**2
-        assert dist_joint(ClassSpec.parse("1,1,1")) == ONE
+        assert dist_joint(ClassSpec.parse("3"), route="enumerate") == s * t + s * t**2
+        assert dist_joint(ClassSpec.parse("1,1,1"), route="enumerate") == ONE
 
     def test_joint_specializations(self):
         # s -> 1 recovers the excedance polynomial; t -> 1, s -> t the
         # valley polynomial
         for text in ["3", "1,2", "2,2", "1,1,2", "5", "n=5,k=1"]:
             spec = ClassSpec.parse(text)
-            joint = dist_joint(spec)
+            joint = dist_joint(spec, route="enumerate")
             at_s1 = MultiPoly.zero()
             by_cval = MultiPoly.zero()
             for (ds, dt), c in joint.terms.items():
                 at_s1 = at_s1 + MultiPoly.monomial(0, dt, c)
                 by_cval = by_cval + MultiPoly.monomial(0, ds, c)
-            assert at_s1 == dist_exc(spec)
-            assert by_cval == dist_cval(spec)
+            assert at_s1 == dist_exc(spec, route="enumerate")
+            assert by_cval == dist_cval(spec, route="enumerate")
 
-    def test_against_direct_scan(self):
-        # full cross-check of the streaming fold against a raw scan of S_n
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_against_direct_scan(self, route):
+        # full cross-check of both routes against a raw scan of S_n
         for n in range(0, 6):
             for ct in partitions_of(n):
                 expected: dict[tuple[int, int], int] = {}
@@ -179,15 +191,17 @@ class TestDistributions:
                         continue
                     key = (oracle_cval(p.word), oracle_exc(p.word))
                     expected[key] = expected.get(key, 0) + 1
-                assert dist_joint(ClassSpec.of_cycle_type(ct)) == MultiPoly(expected)
+                spec = ClassSpec.of_cycle_type(ct)
+                assert dist_joint(spec, route=route) == MultiPoly(expected)
 
-    def test_exc_sums_to_eulerian(self):
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_exc_sums_to_eulerian(self, route):
         from cyclestat.algebra import eulerian
 
         for n in range(0, 8):
             total = MultiPoly.zero()
             for ct in partitions_of(n):
-                total = total + dist_exc(ClassSpec.of_cycle_type(ct))
+                total = total + dist_exc(ClassSpec.of_cycle_type(ct), route=route)
             if n == 0:
                 assert total == ONE
             else:
@@ -209,7 +223,8 @@ class TestCountSnki:
         with pytest.raises(ValueError):
             count_snki(3, 4, 0)
 
-    def test_against_direct_scan(self):
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_against_direct_scan(self, route):
         for n in range(1, 7):
             table: dict[tuple[int, int], int] = {}
             for p in all_perms(n):
@@ -217,4 +232,37 @@ class TestCountSnki:
                 table[key] = table.get(key, 0) + 1
             for k in range(0, n + 1):
                 for i in range(0, (n - k) // 2 + 1):
-                    assert count_snki(n, k, i) == table.get((k, i), 0)
+                    assert count_snki(n, k, i, route=route) == table.get((k, i), 0)
+
+
+class TestRoutes:
+    def test_agree_on_every_class(self):
+        for n in range(0, 9):
+            for ct in partitions_of(n):
+                spec = ClassSpec.of_cycle_type(ct)
+                assert joint_counts(spec) == joint_counts(spec, route="enumerate"), ct
+
+    def test_agree_on_every_stratum(self):
+        for n in range(0, 8):
+            for k in range(0, n + 1):
+                specs = [ClassSpec.with_fixed_points(n, k)] + [
+                    ClassSpec.with_fixed_points_and_valleys(n, k, i)
+                    for i in range(0, (n - k) // 2 + 1)
+                ]
+                for spec in specs:
+                    assert joint_counts(spec) == joint_counts(
+                        spec, route="enumerate"
+                    ), spec
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_returns_a_fresh_dict(self, route):
+        spec = ClassSpec.parse("1,2,3")
+        counts = joint_counts(spec, route=route)
+        expected = dict(counts)
+        counts[(0, 0)] = 99
+        counts.clear()
+        assert joint_counts(spec, route=route) == expected
+
+    def test_unknown_route(self):
+        with pytest.raises(ValueError, match="route"):
+            dist_joint(ClassSpec.parse("3"), route="sample")

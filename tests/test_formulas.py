@@ -54,7 +54,8 @@ class TestBrenti:
     def test_matches_enumeration_small(self):
         for n in range(0, 7):
             for ct in partitions_of(n):
-                assert brenti(ct) == dist_exc(ClassSpec.of_cycle_type(ct))
+                spec = ClassSpec.of_cycle_type(ct)
+                assert brenti(ct) == dist_exc(spec, route="enumerate")
 
 
 class TestTheorem1:
@@ -68,7 +69,8 @@ class TestTheorem1:
     def test_matches_enumeration_small(self):
         for n in range(0, 7):
             for ct in partitions_of(n):
-                assert theorem1_joint(ct) == dist_joint(ClassSpec.of_cycle_type(ct))
+                spec = ClassSpec.of_cycle_type(ct)
+                assert theorem1_joint(ct) == dist_joint(spec, route="enumerate")
 
     def test_order_guard(self):
         with pytest.raises(ValueError, match="margin"):
@@ -104,12 +106,31 @@ class TestTheorem6:
     def test_matches_enumeration_small(self):
         for n in range(0, 7):
             for ct in partitions_of(n):
-                assert theorem6_cval(ct) == dist_cval(ClassSpec.of_cycle_type(ct))
+                spec = ClassSpec.of_cycle_type(ct)
+                assert theorem6_cval(ct) == dist_cval(spec, route="enumerate")
 
     def test_headline_class(self):
         assert theorem6_cval(CycleType((1, 5, 5))) == MultiPoly(
             {(0, 2): 88704, (0, 3): 354816, (0, 4): 354816}
         )
+
+
+class TestBeyondEnumeration:
+    """The closed forms against the factorized route where enumeration is
+    out of reach; both already match enumeration for n <= 8."""
+
+    def test_every_class_of_nine(self):
+        for ct in partitions_of(9):
+            spec = ClassSpec.of_cycle_type(ct)
+            assert theorem1_joint(ct) == dist_joint(spec), ct
+            assert theorem6_cval(ct) == dist_cval(spec), ct
+
+    def test_single_cycles(self):
+        for m in range(10, 17):
+            ct = CycleType((m,))
+            spec = ClassSpec.of_cycle_type(ct)
+            assert theorem1_joint(ct) == dist_joint(spec), ct
+            assert theorem6_cval(ct) == dist_cval(spec), ct
 
 
 class TestLemma1:
@@ -268,7 +289,9 @@ class TestEgf:
         for n in range(1, 7):
             for k in range(0, n + 1):
                 for i in range(0, (n - k) // 2 + 1):
-                    assert table.get((n, k, i), 0) == count_snki(n, k, i)
+                    assert table.get((n, k, i), 0) == count_snki(
+                        n, k, i, route="enumerate"
+                    )
 
     def test_row_sums(self):
         table = egf_snki(6)
