@@ -5,13 +5,17 @@ equality is true equality, and no floating point is ever involved.
 
 ``MultiPoly`` is a sparse polynomial in the two variables s and t, keyed
 by exponent pairs (deg_s, deg_t). Univariate polynomials in t are simply
-the members with no s. ``TruncSeries`` is the quotient of that ring by
-total degree: all terms with deg_s + deg_t > order are discarded, which
-makes units invertible and series with constant term 1 admit square
-roots. It exists to evaluate substitution formulas whose closed forms
-contain radicals; whenever the represented function is actually a
-polynomial, ``to_poly`` recovers it and loudly rejects leftover
-high-order terms (the sign of a too-small truncation order).
+the members with no s. ``TruncSeries`` is a ``MultiPoly`` plus a
+truncation order, the quotient of that ring by total degree: all terms
+with deg_s + deg_t > order are discarded, which makes units invertible
+and series with constant term 1 admit square roots. The ring operations
+are written once, in ``MultiPoly``; a series adds only its truncating
+product, how orders combine (mixing gives the smaller order), inverse,
+division, square root and the order-lowering factor extractions. It
+exists to evaluate substitution formulas whose closed forms contain
+radicals; whenever the represented function is actually a polynomial,
+``to_poly`` recovers it and loudly rejects leftover high-order terms
+(the sign of a too-small truncation order).
 
 ``eulerian(n)`` is the classic descent-counting polynomial, normalized so
 that the lowest term is t^1 for n >= 1 (and 1 for n = 0); it is computed
@@ -141,6 +145,15 @@ class MultiPoly:
 
     # -- ring operations ----------------------------------------------
 
+    def _new(self, terms: Mapping[Exponents, Scalar]) -> "MultiPoly":
+        """A value of the same kind as self (a series keeps its order)."""
+        return MultiPoly(terms)
+
+    def _meet(self, other: "MultiPoly") -> "MultiPoly":
+        """The operand whose kind a result of self and other takes; a
+        polynomial defers to the other operand, polynomial or series."""
+        return other
+
     def __add__(self, other) -> "MultiPoly":
         other = _as_poly(other)
         if other is NotImplemented:
@@ -148,12 +161,12 @@ class MultiPoly:
         terms = dict(self._terms)
         for key, value in other._terms.items():
             terms[key] = terms.get(key, Fraction(0)) + value
-        return MultiPoly(terms)
+        return self._meet(other)._new(terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly({key: -value for key, value in self._terms.items()})
+        return self._new({key: -value for key, value in self._terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
         other = _as_poly(other)
@@ -162,7 +175,10 @@ class MultiPoly:
         return self + (-other)
 
     def __rsub__(self, other) -> "MultiPoly":
-        return _as_poly(other) - self
+        other = _as_poly(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
@@ -183,7 +199,7 @@ class MultiPoly:
     def __pow__(self, exponent: int) -> "MultiPoly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = MultiPoly.one()
+        result = self._new({(0, 0): 1})
         base = self
         while exponent:
             if exponent & 1:
@@ -223,7 +239,7 @@ class MultiPoly:
     def extract_t_factor(self) -> "MultiPoly":
         """Divide by t; every term must have deg_t >= 1."""
         if any(dt == 0 for _, dt in self._terms):
-            raise ValueError("polynomial is not divisible by t")
+            raise ValueError("not divisible by t")
         return MultiPoly({(ds, dt - 1): c for (ds, dt), c in self._terms.items()})
 
     # -- rendering ----------------------------------------------------
@@ -367,12 +383,14 @@ def _half_binomial(j: int) -> Fraction:
     return value
 
 
-class TruncSeries:
+class TruncSeries(MultiPoly):
     """Bivariate power series truncated at a total degree.
 
-    All terms with deg_s + deg_t > order are identified with zero, so the
-    arithmetic is exact in the quotient ring. Combining two series keeps
-    the smaller order.
+    A ``MultiPoly`` plus a truncation order: all terms with
+    deg_s + deg_t > order are identified with zero, so the arithmetic is
+    exact in the quotient ring. The ring operations are ``MultiPoly``'s;
+    combining a series with a polynomial, a scalar or another series
+    gives a series at the smaller order, on either side.
 
     >>> one = TruncSeries.from_poly(MultiPoly.one(), 3)
     >>> t = TruncSeries.from_poly(MultiPoly.t(), 3)
@@ -380,15 +398,16 @@ class TruncSeries:
     '1 + t + t^2 + t^3'
     """
 
-    __slots__ = ("_terms", "order")
+    __slots__ = ("order",)
 
     def __init__(self, terms: Mapping[Exponents, Scalar], order: int):
         if order < 0:
             raise ValueError("truncation order must be nonnegative")
+        super().__init__(terms)
         self.order = order
         self._terms = {
             key: value
-            for key, value in _clean(terms).items()
+            for key, value in self._terms.items()
             if key[0] + key[1] <= order
         }
 
@@ -400,52 +419,28 @@ class TruncSeries:
     def constant(cls, c: Scalar, order: int) -> "TruncSeries":
         return cls({(0, 0): c}, order)
 
-    @property
-    def terms(self) -> dict[Exponents, Fraction]:
-        return dict(self._terms)
-
-    def coefficient(self, deg_s: int, deg_t: int) -> Fraction:
-        return self._terms.get((deg_s, deg_t), Fraction(0))
-
     def constant_term(self) -> Fraction:
         return self.coefficient(0, 0)
 
-    # -- arithmetic ----------------------------------------------------
+    # -- how orders combine --------------------------------------------
 
-    def _coerce(self, other) -> "TruncSeries":
-        if isinstance(other, TruncSeries):
+    def _new(self, terms: Mapping[Exponents, Scalar]) -> "TruncSeries":
+        return TruncSeries(terms, self.order)
+
+    def _meet(self, other: MultiPoly) -> "TruncSeries":
+        if isinstance(other, TruncSeries) and other.order < self.order:
             return other
-        if isinstance(other, (int, Fraction)):
-            return TruncSeries.constant(other, self.order)
-        if isinstance(other, MultiPoly):
-            return TruncSeries.from_poly(other, self.order)
-        return NotImplemented
+        return self
 
-    def __add__(self, other) -> "TruncSeries":
-        other = self._coerce(other)
+    def __eq__(self, other) -> bool:
+        other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        order = min(self.order, other.order)
-        terms = dict(self._terms)
-        for key, value in other._terms.items():
-            terms[key] = terms.get(key, Fraction(0)) + value
-        return TruncSeries(terms, order)
+        if isinstance(other, TruncSeries) and other.order != self.order:
+            return False
+        return super().__eq__(self._new(other._terms))
 
-    __radd__ = __add__
-
-    def __neg__(self) -> "TruncSeries":
-        return TruncSeries(
-            {key: -value for key, value in self._terms.items()}, self.order
-        )
-
-    def __sub__(self, other) -> "TruncSeries":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "TruncSeries":
-        return self._coerce(other) - self
+    # -- arithmetic ----------------------------------------------------
 
     def __mul__(self, other) -> "TruncSeries":
         if isinstance(other, (int, Fraction)):
@@ -453,10 +448,10 @@ class TruncSeries:
                 {key: value * other for key, value in self._terms.items()},
                 self.order,
             )
-        other = self._coerce(other)
+        other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        order = min(self.order, other.order)
+        order = self._meet(other).order
         terms: dict[Exponents, Fraction] = {}
         for (a, b), c1 in self._terms.items():
             for (d, e), c2 in other._terms.items():
@@ -469,56 +464,41 @@ class TruncSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "TruncSeries":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = TruncSeries.constant(1, self.order)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
+    def _power_sum(self, coefficient) -> "TruncSeries":
+        """sum over j >= 0 of coefficient(j) * self^j, for self without a
+        constant term: self^j contributes nothing once j exceeds the order."""
+        result = TruncSeries.constant(coefficient(0), self.order)
+        power = TruncSeries.constant(1, self.order)
+        for j in range(1, self.order + 1):
+            power = power * self
+            if not power._terms:
+                break
+            c = coefficient(j)
+            result = result + (power if c == 1 else power * c)
         return result
-
-    def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.order == other.order and self._terms == other._terms
 
     def inverse(self) -> "TruncSeries":
         """Multiplicative inverse; requires a nonzero constant term."""
         c = self.constant_term()
         if not c:
             raise ValueError("cannot invert a series with zero constant term")
-        # 1/(c(1 - r)) = (1/c) * sum r^j, where r has no constant term, so
-        # r^j contributes nothing beyond j > order.
-        r = TruncSeries(
-            {key: -value / c for key, value in self._terms.items() if key != (0, 0)},
-            self.order,
-        )
-        result = TruncSeries.constant(1, self.order)
-        power = TruncSeries.constant(1, self.order)
-        for _ in range(self.order):
-            power = power * r
-            if not power._terms:
-                break
-            result = result + power
-        return result * (Fraction(1) / c)
+        # 1/(c(1 - r)) = (1/c) * sum r^j, where r = 1 - self/c.
+        r = 1 - self * (Fraction(1) / c)
+        return r._power_sum(lambda j: 1) * (Fraction(1) / c)
 
     def __truediv__(self, other) -> "TruncSeries":
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise ZeroDivisionError("division by zero")
             return self * (Fraction(1) / Fraction(other))
-        other = self._coerce(other)
+        other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self * other.inverse()
+        return self * self._meet(other)._new(other._terms).inverse()
 
     def sqrt(self) -> "TruncSeries":
-        """Square root with constant term 1 (the +1 branch).
+        """Square root with constant term 1 (the +1 branch): the binomial
+        series sum (1/2 choose j) h^j, where h = self - 1.
 
         >>> t = TruncSeries.from_poly(MultiPoly.t(), 3)
         >>> (1 - t).sqrt().terms[(0, 1)]
@@ -526,27 +506,11 @@ class TruncSeries:
         """
         if self.constant_term() != 1:
             raise ValueError("square root requires constant term exactly 1")
-        h = TruncSeries(
-            {key: value for key, value in self._terms.items() if key != (0, 0)},
-            self.order,
-        )
-        result = TruncSeries.constant(1, self.order)
-        power = TruncSeries.constant(1, self.order)
-        for j in range(1, self.order + 1):
-            power = power * h
-            if not power._terms:
-                break
-            result = result + power * _half_binomial(j)
-        return result
+        return (self - 1)._power_sum(_half_binomial)
 
     def extract_t_factor(self) -> "TruncSeries":
         """Divide by t, reducing the truncation order by one."""
-        if any(dt == 0 for _, dt in self._terms):
-            raise ValueError("series is not divisible by t")
-        return TruncSeries(
-            {(ds, dt - 1): c for (ds, dt), c in self._terms.items()},
-            self.order - 1,
-        )
+        return TruncSeries(MultiPoly.extract_t_factor(self)._terms, self.order - 1)
 
     def extract_s_factor(self) -> "TruncSeries":
         """Divide by s, reducing the truncation order by one."""
@@ -580,7 +544,7 @@ class TruncSeries:
         return MultiPoly(self._terms)
 
     def __str__(self) -> str:
-        return f"{MultiPoly(self._terms)} + O(degree {self.order + 1})"
+        return f"{super().__str__()} + O(degree {self.order + 1})"
 
     def __repr__(self) -> str:
         return f"TruncSeries({self._terms!r}, order={self.order})"
@@ -589,6 +553,9 @@ class TruncSeries:
 def poly_at_series(p: MultiPoly, a: TruncSeries) -> TruncSeries:
     """Evaluate a polynomial in t at a series argument.
 
+    The result has the argument's kind, so a polynomial argument gives a
+    polynomial.
+
     >>> geom = poly_at_series(eulerian(2), TruncSeries.from_poly(MultiPoly.t(), 4))
     >>> str(geom.to_poly(2))
     't + t^2'
@@ -596,8 +563,8 @@ def poly_at_series(p: MultiPoly, a: TruncSeries) -> TruncSeries:
     if not p.is_univariate_in_t():
         raise ValueError("substitution argument must be a polynomial in t alone")
     coeffs = {dt: c for (_, dt), c in p.terms.items()}
-    result = TruncSeries.constant(0, a.order)
-    power = TruncSeries.constant(1, a.order)
+    result = a._new({})
+    power = a._new({(0, 0): 1})
     for j in range(0, max(coeffs, default=0) + 1):
         if j > 0:
             power = power * a

@@ -22,8 +22,9 @@ byte-identical output. The guardrail applies only to enumeration, so
 reads an override from the environment variable ``CYCLESTAT_CLASS_CAP``.
 
 Exit codes: 0 success / all checks passed; 1 at least one check failed;
-2 usage or parse error, a bad ``CYCLESTAT_CLASS_CAP``, or a claim with no
-instances in the requested range; 3 enumeration guardrail tripped.
+2 usage or parse error, a bad ``CYCLESTAT_CLASS_CAP``, a claim with no
+instances or a table with no rows in the requested range; 3 enumeration
+guardrail tripped.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ import json
 import os
 import sys
 
-from .algebra import GammaExpansionError, MultiPoly
+from .algebra import GammaExpansionError, MultiPoly, eulerian
 from .enumeration import (
     ClassSpec,
     ClassTooLargeError,
@@ -53,6 +54,7 @@ from .formulas import (
     lemma1_check,
     theorem1_joint,
     theorem2_check,
+    theorem2_gamma,
     theorem4_check,
     theorem5_check,
     theorem6_cval,
@@ -286,35 +288,38 @@ def cmd_verify(args) -> int:
     return EXIT_USAGE if unchecked else EXIT_OK
 
 
-def _emit_table(rows: list[dict], fields: list[str], fmt: str) -> None:
+def _csv_cell(value) -> str:
+    """One CSV field: text quoted, a list comma-joined, a number as is."""
+    if isinstance(value, str):
+        return f'"{value}"'
+    if isinstance(value, list):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+def _emit_table(rows: list[dict], fields: list[str], fmt: str) -> int:
+    """Print rows as JSON lines or CSV; an empty table is a usage error."""
+    if not rows:
+        print("error: no table rows in the requested range", file=sys.stderr)
+        return EXIT_USAGE
     if fmt == "json":
         for row in rows:
             _print_json(row)
-        return
+        return EXIT_OK
     print(",".join(fields))
     for row in rows:
-        print(",".join(str(row[f]) for f in fields))
+        print(",".join(_csv_cell(row[f]) for f in fields))
+    return EXIT_OK
 
 
 def cmd_table(args) -> int:
     if args.what == "eulerian":
-        from .algebra import eulerian
-
         rows = []
         for n in range(0, args.n_max + 1):
             poly = eulerian(n)
-            coeffs = [str(poly.coefficient(0, j)) for j in range(0, n + 1)]
-            rows.append({"n": n, "coefficients": ",".join(coeffs)})
-        if args.format == "json":
-            for row in rows:
-                _print_json(
-                    {"n": row["n"], "coefficients": [int(c) for c in row["coefficients"].split(",")]}
-                )
-        else:
-            print("n,coefficients")
-            for row in rows:
-                print(f"{row['n']},{row['coefficients']}")
-        return EXIT_OK
+            coeffs = [int(poly.coefficient(0, j)) for j in range(0, n + 1)]
+            rows.append({"n": n, "coefficients": coeffs})
+        return _emit_table(rows, ["n", "coefficients"], args.format)
     if args.what == "snki":
         try:
             table = egf_snki(args.n_max)
@@ -326,31 +331,15 @@ def cmd_table(args) -> int:
             for (n, k, i), count in sorted(table.items())
             if count
         ]
-        _emit_table(rows, ["n", "k", "i", "count"], args.format)
-        return EXIT_OK
+        return _emit_table(rows, ["n", "k", "i", "count"], args.format)
     # gamma: coefficients of dist_exc about (n-k)/2, one row per partition
-    from .formulas import theorem2_gamma
-
     rows = []
     for n in range(1, args.n_max + 1):
         for ct in partitions_of(n):
             data = theorem2_gamma(ClassSpec.of_cycle_type(ct))
-            gammas = ",".join(str(g) for g in data.by_no_double_ascent)
+            gammas = list(data.by_no_double_ascent)
             rows.append({"lambda": str(ct), "n": n, "gammas": gammas})
-    if args.format == "json":
-        for row in rows:
-            _print_json(
-                {
-                    "lambda": row["lambda"],
-                    "n": row["n"],
-                    "gammas": [int(g) for g in row["gammas"].split(",")],
-                }
-            )
-    else:
-        print("lambda,n,gammas")
-        for row in rows:
-            print(f"\"{row['lambda']}\",{row['n']},{row['gammas']}")
-    return EXIT_OK
+    return _emit_table(rows, ["lambda", "n", "gammas"], args.format)
 
 
 def build_parser() -> argparse.ArgumentParser:

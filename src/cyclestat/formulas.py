@@ -18,6 +18,11 @@ The routes implemented:
   back to a polynomial with a loud residue check.
 * ``theorem6_cval``: the cyclic-valley distribution, via the analogous
   univariate substitution w(t) built from sqrt(1-t).
+
+These three share one Brenti product,
+(n!/z_lambda) * core^(n - m_1) * prod [A_(i-1)(x)/(i-1)!]^(m_i), and
+differ only in the pair (core, x): (1, t) for ``brenti``,
+((1+u)/(1+uv), v) for Theorem 1 and (1 + sqrt(1-t), w) for Theorem 6.
 * ``lemma1_check`` / ``theorem4_check`` / ``theorem5_check``: identities
   relating the excedance distribution to the joint (or cval)
   distribution over any hop-invariant family, verified in cleared
@@ -121,6 +126,34 @@ def _require_integral(p: MultiPoly, context: str) -> MultiPoly:
     return p
 
 
+def _brenti_product(ct: CycleType, core: MultiPoly, x: MultiPoly) -> MultiPoly:
+    """Brenti's product with core and argument x substituted:
+    (n!/z_lambda) * core^(n - m_1) * prod over part sizes i of
+    [A_(i-1)(x)/(i-1)!]^(m_i). The result has the kind of core and x:
+    polynomials for ``brenti``, series for Theorems 1 and 6."""
+    result = core ** (ct.n - ct.fixed_point_count)
+    for size, mult in sorted(ct.multiplicities.items()):
+        factor = poly_at_series(eulerian(size - 1), x) * Fraction(
+            1, factorial(size - 1)
+        )
+        result = result * factor**mult
+    return result * Fraction(factorial(ct.n), z_lambda(ct))
+
+
+def _series_class_poly(
+    result: TruncSeries, ct: CycleType, order: int, context: str
+) -> MultiPoly:
+    """The class polynomial a Brenti series stands for, residue-checked."""
+    if result.order <= ct.n:
+        # The extractions inside the substitutions cost orders, so a
+        # too-small request would bypass the residue check instead of
+        # tripping it.
+        raise ValueError(
+            f"truncation order {order} leaves no residue margin above degree {ct.n}"
+        )
+    return _require_integral(result.to_poly(ct.n), context)
+
+
 def brenti(ct: CycleType) -> MultiPoly:
     """Excedance distribution over the class of cycle type lambda:
     (n!/z_lambda) * prod over part sizes i of [A_(i-1)(t)/(i-1)!]^(m_i).
@@ -128,11 +161,9 @@ def brenti(ct: CycleType) -> MultiPoly:
     >>> str(brenti(CycleType((3,))))
     't + t^2'
     """
-    poly = MultiPoly.constant(Fraction(factorial(ct.n), z_lambda(ct)))
-    for size, mult in sorted(ct.multiplicities.items()):
-        factor = eulerian(size - 1) * Fraction(1, factorial(size - 1))
-        poly = poly * factor**mult
-    return _require_integral(poly, "brenti")
+    return _require_integral(
+        _brenti_product(ct, MultiPoly.one(), MultiPoly.t()), "brenti"
+    )
 
 
 def _theorem1_substitutions(order: int) -> tuple[TruncSeries, TruncSeries]:
@@ -153,14 +184,10 @@ def _theorem1_substitutions(order: int) -> tuple[TruncSeries, TruncSeries]:
     radicand = TruncSeries.from_poly((one + t) ** 2 - 4 * s * t, order)
     root = radicand.sqrt()
 
-    u_num = TruncSeries.from_poly(one + t * t - 2 * s * t, order) - (
-        TruncSeries.from_poly(one - t, order) * root
-    )
-    u = u_num.extract_t_factor() / TruncSeries.from_poly(2 * (one - s), order - 1)
+    u_num = (one + t * t - 2 * s * t) - (one - t) * root
+    u = u_num.extract_t_factor() / (2 * (one - s))
 
-    v_num = TruncSeries.from_poly((one + t) ** 2 - 2 * s * t, order) - (
-        TruncSeries.from_poly(one + t, order) * root
-    )
+    v_num = ((one + t) ** 2 - 2 * s * t) - (one + t) * root
     v = v_num.extract_s_factor().extract_t_factor() / 2
     return u, v
 
@@ -175,24 +202,10 @@ def theorem1_joint(ct: CycleType, order: int | None = None) -> MultiPoly:
     >>> str(theorem1_joint(CycleType((3,))))
     's*t + s*t^2'
     """
-    n = ct.n
-    order = n + 4 if order is None else order
+    order = ct.n + 4 if order is None else order
     u, v = _theorem1_substitutions(order)
-    core = (1 + u) / (1 + u * v)
-    result = core ** (n - ct.fixed_point_count)
-    for size, mult in sorted(ct.multiplicities.items()):
-        factor = poly_at_series(eulerian(size - 1), v) * Fraction(
-            1, factorial(size - 1)
-        )
-        result = result * factor**mult
-    result = result * Fraction(factorial(n), z_lambda(ct))
-    if result.order <= n:
-        # The s*t extraction inside v costs two orders, so a too-small
-        # request would bypass the residue check instead of tripping it.
-        raise ValueError(
-            f"truncation order {order} leaves no residue margin above degree {n}"
-        )
-    return _require_integral(result.to_poly(n), "theorem1_joint")
+    result = _brenti_product(ct, (1 + u) / (1 + u * v), v)
+    return _series_class_poly(result, ct, order, "theorem1_joint")
 
 
 def theorem6_cval(ct: CycleType, order: int | None = None) -> MultiPoly:
@@ -205,22 +218,11 @@ def theorem6_cval(ct: CycleType, order: int | None = None) -> MultiPoly:
     >>> str(theorem6_cval(CycleType((3,))))
     '2*t'
     """
-    n = ct.n
-    order = n + 4 if order is None else order
+    order = ct.n + 4 if order is None else order
     root = TruncSeries.from_poly(MultiPoly.one() - MultiPoly.t(), order).sqrt()
     w = (1 - root).extract_t_factor() * 2 - 1
-    result = (1 + root) ** (n - ct.fixed_point_count)
-    for size, mult in sorted(ct.multiplicities.items()):
-        factor = poly_at_series(eulerian(size - 1), w) * Fraction(
-            1, factorial(size - 1)
-        )
-        result = result * factor**mult
-    result = result * Fraction(factorial(n), z_lambda(ct))
-    if result.order <= n:
-        raise ValueError(
-            f"truncation order {order} leaves no residue margin above degree {n}"
-        )
-    return _require_integral(result.to_poly(n), "theorem6_cval")
+    result = _brenti_product(ct, 1 + root, w)
+    return _series_class_poly(result, ct, order, "theorem6_cval")
 
 
 def _orbit_weight_sum(profiles, n: int, k: int) -> MultiPoly:
@@ -294,14 +296,10 @@ def theorem5_check(spec: ClassSpec) -> VerificationReport:
     n, k = spec.n, spec.fixed_point_count
     lhs = dist_exc(spec, route="enumerate") * 2 ** (n - k)
     cval_poly = dist_cval(spec, route="enumerate")
-    one_plus_t = MultiPoly.one() + MultiPoly.t()
-    rhs = MultiPoly.zero()
-    for i in range(cval_poly.t_degree() + 1):
-        c = cval_poly.coefficient(0, i)
-        if c:
-            rhs = rhs + MultiPoly.monomial(0, i, c * 4**i) * one_plus_t ** (
-                n - k - 2 * i
-            )
+    gammas = tuple(
+        cval_poly.coefficient(0, i) * 4**i for i in range(cval_poly.t_degree() + 1)
+    )
+    rhs = GammaExpansion(n - k, gammas).reconstruct()
     return VerificationReport(
         claim="theorem5", instance=spec.instance(), lhs=lhs, rhs=rhs
     )
@@ -416,13 +414,11 @@ def corollary3_check(n: int, k: int) -> VerificationReport:
     """Excedance distribution over the k-fixed-point stratum against
     sum_i count(n,k,i)/2^(n-k-2i) * t^i (1+t)^(n-k-2i)."""
     lhs = dist_exc(ClassSpec.with_fixed_points(n, k), route="enumerate")
-    one_plus_t = MultiPoly.one() + MultiPoly.t()
-    rhs = MultiPoly.zero()
-    for i in range((n - k) // 2 + 1):
-        count = count_snki(n, k, i, route="enumerate")
-        if count:
-            weight = Fraction(count, 2 ** (n - k - 2 * i))
-            rhs = rhs + MultiPoly.monomial(0, i, weight) * one_plus_t ** (n - k - 2 * i)
+    gammas = tuple(
+        Fraction(count_snki(n, k, i, route="enumerate"), 2 ** (n - k - 2 * i))
+        for i in range((n - k) // 2 + 1)
+    )
+    rhs = GammaExpansion(n - k, gammas).reconstruct()
     return VerificationReport(
         claim="cor3", instance={"n": n, "k": k}, lhs=lhs, rhs=rhs
     )
@@ -432,11 +428,8 @@ def corollary4_check(n: int, k: int, i: int) -> VerificationReport:
     """Excedance distribution over a single (fixed points, valleys) cell
     against count/2^(n-k-2i) * t^i (1+t)^(n-k-2i)."""
     lhs = dist_exc(ClassSpec.with_fixed_points_and_valleys(n, k, i), route="enumerate")
-    count = count_snki(n, k, i, route="enumerate")
-    weight = Fraction(count, 2 ** (n - k - 2 * i))
-    rhs = MultiPoly.monomial(0, i, weight) * (MultiPoly.one() + MultiPoly.t()) ** (
-        n - k - 2 * i
-    )
+    weight = Fraction(count_snki(n, k, i, route="enumerate"), 2 ** (n - k - 2 * i))
+    rhs = GammaExpansion(n - k, (Fraction(0),) * i + (weight,)).reconstruct()
     return VerificationReport(
         claim="cor4", instance={"n": n, "k": k, "i": i}, lhs=lhs, rhs=rhs
     )

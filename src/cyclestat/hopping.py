@@ -149,14 +149,29 @@ def _hop(word: tuple[int, ...], x: int, left: float, right: float) -> tuple[int,
     return f.hopped() if f.hops else word
 
 
+def _erase_parentheses(word: tuple[int, ...]) -> tuple[int, ...]:
+    """The canonical cycle form of a one-line word, parentheses erased."""
+    return tuple(a for cycle in _cycles_of_word(word) for a in cycle)
+
+
+def _cut_at_maxima(word: tuple[int, ...]) -> tuple[int, ...]:
+    """The one-line word whose cycles are ``word`` cut before each
+    left-to-right maximum; inverse of :func:`_erase_parentheses`."""
+    cuts = sorted(left_to_right_maxima(word))
+    cycles = [
+        word[start - 1 : (cuts[j + 1] - 1 if j + 1 < len(cuts) else len(word))]
+        for j, start in enumerate(cuts)
+    ]
+    return _word_from_cycles(cycles, len(word))
+
+
 def foata(p: Permutation) -> Permutation:
     """Erase the parentheses of the canonical cycle form.
 
     >>> str(foata(Permutation((6, 4, 9, 2, 3, 7, 1, 8, 5))))
     '427168953'
     """
-    word = tuple(a for cycle in _cycles_of_word(p.word) for a in cycle)
-    return Permutation(word)
+    return Permutation(_erase_parentheses(p.word))
 
 
 def foata_inverse(p: Permutation) -> Permutation:
@@ -164,13 +179,7 @@ def foata_inverse(p: Permutation) -> Permutation:
 
     Inverse of :func:`foata`: ``foata_inverse(foata(p)) == p``.
     """
-    word = p.word
-    cuts = sorted(left_to_right_maxima(word))
-    cycles = [
-        word[start - 1 : (cuts[j + 1] - 1 if j + 1 < len(cuts) else len(word))]
-        for j, start in enumerate(cuts)
-    ]
-    return Permutation(_word_from_cycles(cycles, len(word)))
+    return Permutation(_cut_at_maxima(p.word))
 
 
 def _check_letters(letters, n: int) -> list[int]:
@@ -207,17 +216,12 @@ def psi(p: Permutation, letters) -> Permutation:
     '(5,3,2)(8)(9,6,4,1,7)'
     """
     fixed = {i for i in range(1, p.n + 1) if p.word[i - 1] == i}
-    word = tuple(a for cycle in _cycles_of_word(p.word) for a in cycle)
+    word = _erase_parentheses(p.word)
     for x in _check_letters(letters, p.n):
         if x in fixed:
             continue
         word = _hop(word, x, LOW_BOUNDARY, HIGH_BOUNDARY)
-    cuts = sorted(left_to_right_maxima(word))
-    cycles = [
-        word[start - 1 : (cuts[j + 1] - 1 if j + 1 < len(cuts) else len(word))]
-        for j, start in enumerate(cuts)
-    ]
-    return Permutation(_word_from_cycles(cycles, len(word)))
+    return Permutation(_cut_at_maxima(word))
 
 
 @dataclass(frozen=True)

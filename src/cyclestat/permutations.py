@@ -195,7 +195,10 @@ class CycleType:
             parts: list[int] = []
             for token in text.split():
                 base, _, mult = token.partition("^")
-                parts.extend([int(base)] * (int(mult) if mult else 1))
+                count = int(mult) if mult else 1
+                if count < 0:
+                    raise ValueError(f"negative multiplicity in {token!r}")
+                parts.extend([int(base)] * count)
             return cls(tuple(parts))
         return cls(tuple(int(tok) for tok in text.split(",")))
 

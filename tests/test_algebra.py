@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclestat.algebra import (
     GammaExpansion,
@@ -286,3 +288,85 @@ class TestPolyAtSeries:
     def test_rejects_bivariate(self):
         with pytest.raises(ValueError):
             poly_at_series(S + T, TruncSeries.from_poly(T, 3))
+
+
+class TestReflectedSubtraction:
+    @pytest.mark.parametrize(
+        "value",
+        [MultiPoly.one(), TruncSeries.from_poly(MultiPoly.one(), 3)],
+        ids=["MultiPoly", "TruncSeries"],
+    )
+    @pytest.mark.parametrize("other", [0.5, None], ids=["float", "None"])
+    def test_unsupported_operand_raises_type_error(self, value, other):
+        with pytest.raises(TypeError):
+            other - value
+
+
+# Property tests: exact arithmetic makes every ring law an equality, so
+# Hypothesis can search freely; derandomized, with no example database,
+# so a run is reproducible and writes nothing into the checkout.
+PROPERTY_SETTINGS = settings(
+    max_examples=60, deadline=None, derandomize=True, database=None
+)
+scalars = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+)
+polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), scalars, max_size=4
+).map(MultiPoly)
+orders = st.integers(0, 5)
+
+
+def series_at(order):
+    return polys.map(lambda p: TruncSeries.from_poly(p, order))
+
+
+class TestRingProperties:
+    @PROPERTY_SETTINGS
+    @given(polys, polys, polys, scalars)
+    def test_multipoly_ring_laws_with_mixed_scalars(self, a, b, c, k):
+        assert (a + b) * c == a * c + b * c
+        assert a * (b * c) == (a * b) * c
+        assert a + b == b + a and a * b == b * a
+        assert a - a == MultiPoly.zero() and a + (-a) == 0
+        assert k * a == a * k and k + a == a + k
+        assert (a + k) - k == a
+        assert k - a == -(a - k)
+        assert (a * k) * b == a * (k * b)
+        assert a**2 == a * a
+
+    @PROPERTY_SETTINGS
+    @given(polys, orders, orders, st.data())
+    def test_mixed_operations_take_the_smaller_order(self, p, o1, o2, data):
+        x = data.draw(series_at(o1))
+        y = data.draw(series_at(o2))
+        for result in (p + x, x + p, p - x, x - p, p * x, x * p):
+            assert isinstance(result, TruncSeries) and result.order == o1
+        assert p * x == TruncSeries.from_poly(p * x.to_poly(o1), o1)
+        assert x - p == TruncSeries.from_poly(x.to_poly(o1) - p, o1)
+        for result in (x + y, y + x, x - y, y - x, x * y, y * x):
+            assert isinstance(result, TruncSeries)
+            assert result.order == min(o1, o2)
+        assert isinstance(-x, TruncSeries) and (-x).order == o1
+        assert isinstance(x**2, TruncSeries) and (x**2).order == o1
+
+    @PROPERTY_SETTINGS
+    @given(polys, orders, orders)
+    def test_series_of_different_orders_differ(self, p, o1, o2):
+        x, y = TruncSeries.from_poly(p, o1), TruncSeries.from_poly(p, o2)
+        assert (x == y) == (o1 == o2)
+        with pytest.raises(TypeError):
+            hash(x)
+
+    @PROPERTY_SETTINGS
+    @given(polys, scalars.filter(bool), orders)
+    def test_inverse(self, p, c, order):
+        a = TruncSeries.from_poly(c + p * T, order)
+        assert a * a.inverse() == 1
+
+    @PROPERTY_SETTINGS
+    @given(polys, polys, orders)
+    def test_sqrt_squares_back(self, p, q, order):
+        a = TruncSeries.from_poly(ONE + p * T + q * S, order)
+        assert a.sqrt() * a.sqrt() == a

@@ -83,6 +83,13 @@ class TestDist:
         code, _, err = run(capsys, "dist", "n=3,q=1")
         assert code == EXIT_USAGE and "error" in err
 
+    @pytest.mark.parametrize("spec", ["1^1 5^-1", "5^-1"])
+    def test_negative_multiplicity_is_a_usage_error(self, capsys, spec):
+        code, out, err = run(capsys, "dist", spec)
+        assert code == EXIT_USAGE
+        assert not out
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_guardrail_distinct_exit(self, capsys, monkeypatch):
         # dist factorizes and visits no members; the guardrail guards
         # verify's enumeration
@@ -195,6 +202,43 @@ class TestTable:
         assert code == EXIT_USAGE
         assert not out
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "what, n_max", [("eulerian", "-1"), ("gamma", "0")]
+    )
+    def test_empty_table_is_a_usage_error(self, capsys, what, n_max):
+        code, out, err = run(capsys, "table", what, "--n-max", n_max)
+        assert code == EXIT_USAGE
+        assert not out
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_eulerian_json_bytes(self, capsys):
+        code, out, _ = run(capsys, "table", "eulerian", "--n-max", "3", "--format", "json")
+        assert code == EXIT_OK
+        assert out == (
+            '{"coefficients": [1], "n": 0}\n'
+            '{"coefficients": [0, 1], "n": 1}\n'
+            '{"coefficients": [0, 1, 1], "n": 2}\n'
+            '{"coefficients": [0, 1, 4, 1], "n": 3}\n'
+        )
+
+    def test_gamma_csv_bytes(self, capsys):
+        code, out, _ = run(capsys, "table", "gamma", "--n-max", "4", "--format", "csv")
+        assert code == EXIT_OK
+        assert out == (
+            "lambda,n,gammas\n"
+            '"(1)",1,1\n'
+            '"(2)",2,0,1\n'
+            '"(1,1)",2,1\n'
+            '"(3)",3,0,1\n'
+            '"(1,2)",3,0,3\n'
+            '"(1,1,1)",3,1\n'
+            '"(4)",4,0,1,2\n'
+            '"(1,3)",4,0,4\n'
+            '"(2,2)",4,0,0,3\n'
+            '"(1,1,2)",4,0,6\n'
+            '"(1,1,1,1)",4,1\n'
+        )
 
     def test_gamma_json(self, capsys):
         code, out, _ = run(capsys, "table", "gamma", "--n-max", "3", "--format", "json")

@@ -116,6 +116,12 @@ class TestCycleType:
     def test_from_text_multiplicity(self):
         assert CycleType.from_text("1^1 5^2").parts == (1, 5, 5)
         assert CycleType.from_text("2^2").parts == (2, 2)
+        assert CycleType.from_text("1^2 5^0").parts == (1, 1)
+
+    @pytest.mark.parametrize("text", ["1^1 5^-1", "5^-1"])
+    def test_from_text_rejects_negative_multiplicity(self, text):
+        with pytest.raises(ValueError, match="multiplicity"):
+            CycleType.from_text(text)
 
     def test_multiplicities(self):
         ct = CycleType((1, 2, 2, 4))
