@@ -25,6 +25,7 @@ from .enumeration import (
     DEFAULT_CLASS_CAP,
     ClassSpec,
     ClassTooLargeError,
+    class_cap,
     class_size,
     count_snki,
     dist_cval,
@@ -117,6 +118,7 @@ __all__ = [
     "partitions_of",
     "z_lambda",
     "class_size",
+    "class_cap",
     "iter_class",
     "joint_counts",
     "dist_exc",

@@ -204,8 +204,9 @@ class MultiPoly:
         while exponent:
             if exponent & 1:
                 result = result * base
-            base = base * base
             exponent >>= 1
+            if exponent:
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:

@@ -18,25 +18,25 @@ Subcommands:
 All numeric output is exact (integers or p/q rationals as text, never
 floats) and deterministically ordered, so identical invocations produce
 byte-identical output. The guardrail applies only to enumeration, so
-``dist`` never trips it; it defaults to 10^8 class members, and ``verify``
-reads an override from the environment variable ``CYCLESTAT_CLASS_CAP``.
+``dist`` never trips it while ``verify`` and ``table gamma`` honour it: at
+most 10^8 class members, or ``CYCLESTAT_CLASS_CAP`` when that is set.
 
 Exit codes: 0 success / all checks passed; 1 at least one check failed;
-2 usage or parse error, a bad ``CYCLESTAT_CLASS_CAP``, a claim with no
-instances or a table with no rows in the requested range; 3 enumeration
-guardrail tripped.
+2 usage or parse error, a bad ``CYCLESTAT_CLASS_CAP`` (for any command),
+a claim with no instances or a table with no rows in the requested range;
+3 enumeration guardrail tripped.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .algebra import GammaExpansionError, MultiPoly, eulerian
 from .enumeration import (
     ClassSpec,
     ClassTooLargeError,
+    class_cap,
     count_snki,
     dist_cval,
     dist_exc,
@@ -89,18 +89,6 @@ VERIFY_CLAIMS = (
     "egf",
     "all",
 )
-
-
-def _class_cap() -> int | None:
-    """The guardrail from ``CYCLESTAT_CLASS_CAP``; None when unset or empty."""
-    raw = os.environ.get("CYCLESTAT_CLASS_CAP")
-    if not raw:
-        return None
-    if not raw.strip().isdecimal():
-        raise ValueError(
-            f"CYCLESTAT_CLASS_CAP must be a nonnegative integer, got {raw!r}"
-        )
-    return int(raw)
 
 
 def _print_json(record: dict) -> None:
@@ -162,95 +150,75 @@ def cmd_dist(args) -> int:
     return EXIT_OK
 
 
-def _verify_instances(
-    claim: str, n_max: int, lambdas: list[CycleType], cap: int | None
-):
-    """Yield one JSON record per checked instance of the claim."""
+def _verify_instances(claim: str, n_max: int, lambdas: list[CycleType]):
+    """Yield one VerificationReport per checked instance of the claim."""
+    specs = [ClassSpec.of_cycle_type(ct) for ct in lambdas]
+    strata = [(n, k) for n in range(1, n_max + 1) for k in range(n + 1)]
     if claim in ("brenti", "theorem1", "theorem6"):
         closed_form, enumerated = {
             "brenti": (brenti, dist_exc),
             "theorem1": (theorem1_joint, dist_joint),
             "theorem6": (theorem6_cval, dist_cval),
         }[claim]
-        for ct in lambdas:
-            spec = ClassSpec.of_cycle_type(ct)
-            yield VerificationReport(
-                claim,
-                spec.instance(),
-                lhs=closed_form(ct),
-                rhs=enumerated(spec, route="enumerate", cap=cap),
-            ).to_json_record()
+        for spec in specs:
+            lhs = closed_form(spec.cycle_type)
+            rhs = enumerated(spec, route="enumerate")
+            yield VerificationReport(claim, spec.instance(), lhs=lhs, rhs=rhs)
     elif claim == "cor2":
-        for ct in lambdas:
+        # A residual against zero: an s-coefficient's asymmetric part, else
+        # each gamma_j of s^i that is negative or fractional, at s^i t^j.
+        for spec in specs:
             try:
-                corollary2_check(ct)
+                expansions = corollary2_check(spec.cycle_type)
             except GammaExpansionError as err:
                 residual = err.residual
             else:
-                residual = MultiPoly.zero()
-            yield VerificationReport(
-                "cor2",
-                ClassSpec.of_cycle_type(ct).instance(),
-                lhs=residual,
-                rhs=MultiPoly.zero(),
-            ).to_json_record()
+                residual = MultiPoly(
+                    {
+                        (i, j): g
+                        for i, expansion in enumerate(expansions)
+                        for j, g in enumerate(expansion.gammas)
+                        if g < 0 or g.denominator != 1
+                    }
+                )
+            yield VerificationReport("cor2", spec.instance(), residual, MultiPoly())
     elif claim == "lemma1":
         for n in range(1, n_max + 1):
             for ct in partitions_of(n):
-                for p in iter_class(ClassSpec.of_cycle_type(ct), cap=cap):
+                for p in iter_class(ClassSpec.of_cycle_type(ct)):
                     if stat_sets(p).cdasc_set:
                         continue  # one representative per orbit
-                    yield lemma1_check(p).to_json_record()
+                    yield lemma1_check(p)
     elif claim in ("theorem2", "theorem4", "theorem5"):
         check = {
             "theorem2": theorem2_check,
             "theorem4": theorem4_check,
             "theorem5": theorem5_check,
         }[claim]
-        for ct in lambdas:
-            yield check(ClassSpec.of_cycle_type(ct)).to_json_record()
-        if not _explicit_lambda(lambdas, n_max):
-            for n in range(1, n_max + 1):
-                for k in range(0, n + 1):
-                    yield check(ClassSpec.with_fixed_points(n, k)).to_json_record()
+        yield from map(check, specs)
+        for n, k in strata:
+            yield check(ClassSpec.with_fixed_points(n, k))
     elif claim == "cor3":
-        for n in range(1, n_max + 1):
-            for k in range(0, n + 1):
-                yield corollary3_check(n, k).to_json_record()
+        for n, k in strata:
+            yield corollary3_check(n, k)
     elif claim == "cor4":
-        for n in range(1, n_max + 1):
-            for k in range(0, n + 1):
-                for i in range(0, (n - k) // 2 + 1):
-                    yield corollary4_check(n, k, i).to_json_record()
+        for n, k in strata:
+            for i in range(0, (n - k) // 2 + 1):
+                yield corollary4_check(n, k, i)
     elif claim == "egf":
         if n_max < 1:
             return
         table = egf_snki(n_max)
         for n in range(1, n_max + 1):
             cells = [(k, i) for k in range(n + 1) for i in range((n - k) // 2 + 1)]
-            yield VerificationReport(
-                "egf",
-                {"n": n},
-                lhs=MultiPoly({(k, i): table.get((n, k, i), 0) for k, i in cells}),
-                rhs=MultiPoly(
-                    {(k, i): count_snki(n, k, i, route="enumerate") for k, i in cells}
-                ),
-            ).to_json_record()
+            lhs = {(k, i): table.get((n, k, i), 0) for k, i in cells}
+            rhs = {(k, i): count_snki(n, k, i, route="enumerate") for k, i in cells}
+            yield VerificationReport("egf", {"n": n}, MultiPoly(lhs), MultiPoly(rhs))
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown claim {claim!r}")
 
 
-def _explicit_lambda(lambdas: list[CycleType], n_max: int) -> bool:
-    """True when the user pinned --lambda rather than ranging over n_max."""
-    return len(lambdas) == 1 and lambdas[0].n > 0 and n_max == 0
-
-
 def cmd_verify(args) -> int:
-    try:
-        cap = _class_cap()
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     if args.lam:
         try:
             lambdas = [CycleType.from_text(args.lam)]
@@ -264,19 +232,15 @@ def cmd_verify(args) -> int:
     claims = list(VERIFY_CLAIMS[:-1]) if args.claim == "all" else [args.claim]
     failures = 0
     unchecked = []
-    try:
-        for claim in claims:
-            checked = 0
-            for record in _verify_instances(claim, n_max, lambdas, cap):
-                checked += 1
-                if record["verdict"] != "pass":
-                    failures += 1
-                _print_json(record)
-            if not checked:
-                unchecked.append(claim)
-    except ClassTooLargeError as err:
-        print(f"class too large: {err}", file=sys.stderr)
-        return EXIT_TOO_LARGE
+    for claim in claims:
+        checked = 0
+        for report in _verify_instances(claim, n_max, lambdas):
+            record = report.to_json_record()
+            checked += 1
+            failures += record["verdict"] != "pass"
+            _print_json(record)
+        if not checked:
+            unchecked.append(claim)
     if unchecked:
         print(
             f"error: no instances to check for {', '.join(unchecked)}"
@@ -380,7 +344,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        class_cap()  # a bad cap is bad input, reported before any output
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        return args.func(args)
+    except ClassTooLargeError as err:
+        print(f"class too large: {err}", file=sys.stderr)
+        return EXIT_TOO_LARGE
 
 
 if __name__ == "__main__":

@@ -21,7 +21,8 @@ Distribution polynomials come by one of two routes, named by the
   without materializing it, adding each completed cycle's contribution
   once for the whole subtree of completions. This is the brute-force
   oracle that every closed form in :mod:`cyclestat.formulas` is checked
-  against, and the only route the member-count guardrail applies to.
+  against, and the only route the member-count guardrail applies to: a
+  caller's ``cap``, else :func:`class_cap` (``CYCLESTAT_CLASS_CAP``).
 
 Sets specified by a fixed-point count k (optionally also by a cyclic
 valley count i) are unions of the conjugacy classes with m_1 = k, and are
@@ -29,6 +30,7 @@ handled that way by both routes.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -42,6 +44,7 @@ __all__ = [
     "DEFAULT_CLASS_CAP",
     "ClassTooLargeError",
     "ClassSpec",
+    "class_cap",
     "partitions_of",
     "z_lambda",
     "class_size",
@@ -213,8 +216,21 @@ class ClassSpec:
         return f"n={self.n},k={self.fixed_points},i={self.cval}"
 
 
+def class_cap() -> int:
+    """The member cap every enumeration defaults to: ``CYCLESTAT_CLASS_CAP``,
+    or 10^8 when unset or empty; ValueError unless a nonnegative integer."""
+    raw = os.environ.get("CYCLESTAT_CLASS_CAP")
+    if not raw:
+        return DEFAULT_CLASS_CAP
+    if not raw.strip().isdecimal():
+        raise ValueError(
+            f"CYCLESTAT_CLASS_CAP must be a nonnegative integer, got {raw!r}"
+        )
+    return int(raw)
+
+
 def _check_cap(spec: ClassSpec, cap: int | None) -> None:
-    cap = DEFAULT_CLASS_CAP if cap is None else cap
+    cap = class_cap() if cap is None else cap
     bound = spec.member_bound()
     if bound > cap:
         raise ClassTooLargeError(
@@ -388,7 +404,7 @@ def iter_class(spec: ClassSpec, cap: int | None = None) -> Iterator[Permutation]
     """Stream every member of the spec exactly once.
 
     Raises :class:`ClassTooLargeError` before yielding anything when the
-    covered classes hold more than ``cap`` members (default 10^8).
+    covered classes hold more than ``cap`` members (default :func:`class_cap`).
 
     >>> sorted(str(p) for p in iter_class(ClassSpec.parse("3")))
     ['231', '312']
@@ -412,7 +428,7 @@ def joint_counts(
     the number of (cval, exc) pairs, not the class size.
     ``route="enumerate"`` visits every member; it is the brute-force
     oracle the closed forms are checked against, and the only route the
-    ``cap`` guardrail applies to.
+    ``cap`` guardrail (default :func:`class_cap`) applies to.
 
     >>> spec = ClassSpec.parse("1,2,2")
     >>> sorted(joint_counts(spec).items())

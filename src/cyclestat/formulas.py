@@ -40,6 +40,7 @@ vocabulary used by reports and the command-line ``verify`` subcommand.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -225,66 +226,47 @@ def theorem6_cval(ct: CycleType, order: int | None = None) -> MultiPoly:
     return _series_class_poly(result, ct, order, "theorem6_cval")
 
 
-def _orbit_weight_sum(profiles, n: int, k: int) -> MultiPoly:
-    """Sum of (s+t)^(exc-cval) (1+st)^(n-k-cval-exc) t^cval (1+s)^(2 cval)
-    over an iterable of (cval, exc, multiplicity) profiles."""
-    s = MultiPoly.s()
-    t = MultiPoly.t()
-    one = MultiPoly.one()
-    total = MultiPoly.zero()
-    for cval, exc, mult in profiles:
-        term = (
+def _cleared_identity(
+    claim: str, instance: dict, counts: dict[tuple[int, int], int], m: int
+) -> VerificationReport:
+    """The identity of :func:`lemma1_check` over members counted by
+    (cval, exc), each profile's term computed once."""
+    s, t, one = MultiPoly.s(), MultiPoly.t(), MultiPoly.one()
+    lhs = rhs = MultiPoly.zero()
+    for (cval, exc), mult in sorted(counts.items()):
+        lhs = lhs + MultiPoly.monomial(0, exc, mult)
+        rhs = rhs + (
             (s + t) ** (exc - cval)
-            * (one + s * t) ** (n - k - cval - exc)
+            * (one + s * t) ** (m - cval - exc)
             * MultiPoly.monomial(0, cval, mult)
             * (one + s) ** (2 * cval)
         )
-        total = total + term
-    return total
+    return VerificationReport(claim, instance, lhs=lhs * (one + s) ** m, rhs=rhs)
 
 
 def lemma1_check(sigma: Permutation) -> VerificationReport:
-    """Orbit-level identity behind the gamma results, in cleared form:
+    """Orbit-level identity behind the gamma results, in cleared form
+    (no radicals, exact equality), with m = n - k:
 
-    (sum over the orbit of t^exc) * (1+s)^(n-k)
+    (sum over the orbit of t^exc) * (1+s)^m
       = sum over the orbit of
-        (s+t)^(exc-cval) (1+st)^(n-k-cval-exc) t^cval (1+s)^(2 cval).
+        (s+t)^(exc-cval) (1+st)^(m-cval-exc) t^cval (1+s)^(2 cval),
+
+    checked with the orbit's members grouped by (cval, exc).
     """
-    n = sigma.n
-    k = stat_counts(sigma).fix
     members = orbit(sigma, collect_members=True).members
-    one_plus_s = MultiPoly.one() + MultiPoly.s()
-    lhs = MultiPoly.zero()
-    profiles = []
-    for member in members:
-        counts = stat_counts(member)
-        lhs = lhs + MultiPoly.monomial(0, counts.exc)
-        profiles.append((counts.cval, counts.exc, 1))
-    lhs = lhs * one_plus_s ** (n - k)
-    rhs = _orbit_weight_sum(profiles, n, k)
-    return VerificationReport(
-        claim="lemma1",
-        instance={"sigma": list(sigma.word)},
-        lhs=lhs,
-        rhs=rhs,
-    )
+    counts = Counter((c.cval, c.exc) for c in map(stat_counts, members))
+    m = sigma.n - stat_counts(sigma).fix
+    return _cleared_identity("lemma1", {"sigma": list(sigma.word)}, counts, m)
 
 
 def theorem4_check(spec: ClassSpec) -> VerificationReport:
-    """The lemma summed over a hop-invariant family, cleared form:
-
-    dist_exc * (1+s)^(n-k) = sum over members of
-    (s+t)^(exc-cval) (1+st)^(n-k-cval-exc) t^cval (1+s)^(2 cval).
-    """
-    n, k = spec.n, spec.fixed_point_count
-    one_plus_s = MultiPoly.one() + MultiPoly.s()
-    lhs = dist_exc(spec, route="enumerate") * one_plus_s ** (n - k)
+    """The identity of :func:`lemma1_check` summed over a hop-invariant
+    family, from its enumerated (cval, exc) counts; the left side is
+    dist_exc * (1+s)^(n-k)."""
     counts = joint_counts(spec, route="enumerate")
-    profiles = [(cval, exc, mult) for (cval, exc), mult in sorted(counts.items())]
-    rhs = _orbit_weight_sum(profiles, n, k)
-    return VerificationReport(
-        claim="theorem4", instance=spec.instance(), lhs=lhs, rhs=rhs
-    )
+    m = spec.n - spec.fixed_point_count
+    return _cleared_identity("theorem4", spec.instance(), counts, m)
 
 
 def theorem5_check(spec: ClassSpec) -> VerificationReport:

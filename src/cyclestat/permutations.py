@@ -265,10 +265,8 @@ def _cycles_of_word(word: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
             seen[a] = True
             cycle.append(a)
             a = word[a - 1]
-        top = cycle.index(max(cycle))
-        cycles.append(tuple(cycle[top:] + cycle[:top]))
-    cycles.sort(key=lambda c: c[0])
-    return tuple(cycles)
+        cycles.append(cycle)
+    return _canonicalize_cycles(cycles)
 
 
 def to_cycle_form(p: Permutation) -> CycleForm:

@@ -1,9 +1,11 @@
+import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
 import cyclestat.cli
-from cyclestat.algebra import MultiPoly
+from cyclestat.algebra import GammaExpansion, MultiPoly
 from cyclestat.cli import (
     EXIT_FAIL,
     EXIT_OK,
@@ -90,13 +92,40 @@ class TestDist:
         assert not out
         assert err.startswith("error:") and err.count("\n") == 1
 
-    def test_guardrail_distinct_exit(self, capsys, monkeypatch):
-        # dist factorizes and visits no members; the guardrail guards
-        # verify's enumeration
+    def test_dist_ignores_class_cap(self, capsys, monkeypatch):
+        # dist factorizes and visits no members
         monkeypatch.setenv("CYCLESTAT_CLASS_CAP", "10")
         code, out, _ = run(capsys, "dist", "1,2,2", "--stat", "exc")
         assert code == EXIT_OK and out.strip() == "15*t^2"
-        code, _, err = run(capsys, "verify", "brenti", "--lambda", "1,2,2")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(
+                ("verify", claim, "--lambda", "1,2,2")
+                for claim in (
+                    "brenti",
+                    "theorem1",
+                    "theorem6",
+                    "cor2",
+                    "theorem2",
+                    "theorem4",
+                    "theorem5",
+                )
+            ),
+            *(
+                ("verify", claim, "--n-max", "5")
+                for claim in ("lemma1", "cor3", "cor4", "egf")
+            ),
+            ("table", "gamma", "--n-max", "5"),
+        ],
+        ids=lambda argv: "-".join(argv[:2]),
+    )
+    def test_guardrail_distinct_exit(self, capsys, monkeypatch, argv):
+        # every enumeration in verify and table gamma honours the cap;
+        # (1,2,2) has 15 members and (5) has 24
+        monkeypatch.setenv("CYCLESTAT_CLASS_CAP", "10")
+        code, _, err = run(capsys, *argv)
         assert code == EXIT_TOO_LARGE
         assert "class too large" in err
 
@@ -150,13 +179,23 @@ class TestVerify:
         assert err.startswith("error:") and err.count("\n") == 1
         assert argv[1] in err
 
-    @pytest.mark.parametrize("cap", ["abc", "-5", "1.5"])
-    def test_bad_class_cap_is_a_usage_error(self, capsys, monkeypatch, cap):
+    @pytest.mark.parametrize(
+        "cap, argv",
+        [
+            ("abc", ("verify", "brenti", "--lambda", "3")),
+            ("-5", ("verify", "brenti", "--lambda", "3")),
+            ("1.5", ("verify", "brenti", "--lambda", "3")),
+            ("abc", ("table", "gamma")),
+        ],
+        ids=["abc", "-5", "1.5", "table-gamma-abc"],
+    )
+    def test_bad_class_cap_is_a_usage_error(self, capsys, monkeypatch, cap, argv):
         monkeypatch.setenv("CYCLESTAT_CLASS_CAP", cap)
-        code, out, err = run(capsys, "verify", "brenti", "--lambda", "3")
+        code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert not out
-        assert err.startswith("error:") and "CYCLESTAT_CLASS_CAP" in err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "CYCLESTAT_CLASS_CAP" in err
 
     def test_failure_carries_first_differing_coefficient(self, capsys, monkeypatch):
         real = cyclestat.cli.theorem1_joint
@@ -174,6 +213,35 @@ class TestVerify:
             "lhs": "1",
             "rhs": "0",
         }
+
+
+    @pytest.mark.parametrize("bad", [Fraction(-2), Fraction(1, 2)], ids=str)
+    def test_cor2_requires_nonnegative_integer_gammas(self, capsys, monkeypatch, bad):
+        def with_bad_gamma(ct):
+            return [
+                GammaExpansion(2, (Fraction(0), Fraction(1))),
+                GammaExpansion(2, (Fraction(1), bad)),
+            ]
+
+        monkeypatch.setattr(cyclestat.cli, "corollary2_check", with_bad_gamma)
+        code, out, _ = run(capsys, "verify", "cor2", "--lambda", "3")
+        assert code == EXIT_FAIL
+        record = json.loads(out)
+        assert record["verdict"] == "fail"
+        assert record["witness"] == {
+            "monomial": {"s": 1, "t": 1},
+            "lhs": str(bad),
+            "rhs": "0",
+        }
+
+    def test_verify_all_bytes(self, capsys):
+        # SHA-256 of the stdout, pinned so a refactor shows byte-identity
+        code, out, _ = run(capsys, "verify", "all", "--n-max", "5")
+        assert code == EXIT_OK
+        assert len(out.splitlines()) == 346
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "37906b6281de34b84b608f2d1987c81bf867316e32f82fb98038521155f79798"
+        )
 
 
 class TestTable:

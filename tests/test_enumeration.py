@@ -4,8 +4,10 @@ import pytest
 
 from cyclestat.algebra import MultiPoly
 from cyclestat.enumeration import (
+    DEFAULT_CLASS_CAP,
     ClassSpec,
     ClassTooLargeError,
+    class_cap,
     class_size,
     count_snki,
     dist_cval,
@@ -142,6 +144,22 @@ class TestIterClass:
             dist_exc(spec, route="enumerate", cap=1000)
         # the factorized route visits no members, so the cap does not apply
         assert dist_exc(spec, cap=1000).coefficient_sum() == 798336
+
+    def test_guardrail_reads_the_environment(self, monkeypatch):
+        spec = ClassSpec.parse("1,2,2")  # 15 members
+        monkeypatch.setenv("CYCLESTAT_CLASS_CAP", "10")
+        assert class_cap() == 10
+        with pytest.raises(ClassTooLargeError):
+            list(iter_class(spec))
+        with pytest.raises(ClassTooLargeError):
+            joint_counts(spec, route="enumerate")
+        # an explicit cap wins over the environment
+        assert len(list(iter_class(spec, cap=15))) == 15
+        monkeypatch.setenv("CYCLESTAT_CLASS_CAP", "")
+        assert class_cap() == DEFAULT_CLASS_CAP
+        monkeypatch.setenv("CYCLESTAT_CLASS_CAP", "abc")
+        with pytest.raises(ValueError, match="CYCLESTAT_CLASS_CAP"):
+            class_cap()
 
 
 class TestDistributions:

@@ -256,6 +256,19 @@ class TestTheorems4And5:
     def test_derangements_four(self):
         assert theorem4_check(ClassSpec.parse("n=4,k=0")).passed
 
+    def test_lemma1_summed_over_orbits(self):
+        # Theorem 4 is Lemma 1 summed over the orbits of the family
+        from cyclestat.enumeration import iter_class
+        from cyclestat.permutations import stat_sets
+
+        spec = ClassSpec.parse("1,2,3")
+        orbits = [
+            lemma1_check(p) for p in iter_class(spec) if not stat_sets(p).cdasc_set
+        ]
+        whole = theorem4_check(spec)
+        assert sum((r.lhs for r in orbits), MultiPoly.zero()) == whole.lhs
+        assert sum((r.rhs for r in orbits), MultiPoly.zero()) == whole.rhs
+
     def test_theorem5_derangements_three(self):
         report = theorem5_check(ClassSpec.parse("n=3,k=0"))
         assert report.passed
