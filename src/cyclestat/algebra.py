@@ -1,7 +1,11 @@
 """Exact polynomial and truncated power-series arithmetic over the rationals.
 
-Everything here is exact: coefficients are ``fractions.Fraction`` values,
-equality is true equality, and no floating point is ever involved.
+Everything here is exact: a coefficient is stored as an ``int`` where it
+is integral and as a ``fractions.Fraction`` only where a division makes
+one, equality is true equality, and no floating point is ever involved.
+The public accessors (``terms``, ``coefficient``, ``coefficient_sum``,
+``evaluate`` and ``GammaExpansion.gammas``) return ``Fraction`` values
+whatever the storage.
 
 ``MultiPoly`` is a sparse polynomial in the two variables s and t, keyed
 by exponent pairs (deg_s, deg_t). Univariate polynomials in t are simply
@@ -11,7 +15,10 @@ with deg_s + deg_t > order are discarded, which makes units invertible
 and series with constant term 1 admit square roots. The ring operations
 are written once, in ``MultiPoly``; a series adds only its truncating
 product, how orders combine (mixing gives the smaller order), inverse,
-division, square root and the order-lowering factor extractions. It
+division, square root and the order-lowering factor extractions. Inverse
+and square root are solved one total degree at a time, and the square
+root divides only by 2, so an integral radicand whose root is integral
+never builds a ``Fraction``. It
 exists to evaluate substitution formulas whose closed forms contain
 radicals; whenever the represented function is actually a polynomial,
 ``to_poly`` recovers it and loudly rejects leftover high-order terms
@@ -24,6 +31,7 @@ polynomial that is symmetric about m/2 in the basis t^i (1+t)^(m-2i).
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -56,17 +64,57 @@ class GammaExpansionError(ValueError):
         self.residual = residual
 
 
-def _clean(terms: Mapping[Exponents, Scalar]) -> dict[Exponents, Fraction]:
+def _exact(value) -> Scalar:
+    """value as an int when it is integral, else as a Fraction."""
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _quotient(a: Scalar, b: Scalar) -> Scalar:
+    """a / b exactly, as an int when b divides a."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _exact(Fraction(a, b))
+
+
+def _clean(
+    terms: Mapping[Exponents, Scalar], order: float = float("inf")
+) -> dict[Exponents, Scalar]:
+    """The nonzero terms with total degree at most order, each stored as
+    an int where integral."""
     out = {}
     for key, value in terms.items():
-        value = Fraction(value)
+        if key[0] + key[1] > order:
+            continue
+        if type(value) is not int:
+            value = _exact(value)
         if value:
             out[key] = value
     return out
 
 
+def _convolve(
+    acc: dict[Exponents, Scalar],
+    a: Mapping[Exponents, Scalar],
+    b: Mapping[Exponents, Scalar],
+    scale: Scalar = 1,
+) -> None:
+    """acc += scale * a * b, on term dicts."""
+    get = acc.get
+    items = a.items() if scale == 1 else [(key, x * scale) for key, x in a.items()]
+    for (i, j), x in items:
+        for (k, l), y in b.items():
+            key = (i + k, j + l)
+            acc[key] = get(key, 0) + x * y
+
+
 class MultiPoly:
     """Sparse exact polynomial in s and t.
+
+    Coefficients are stored as ``int`` where integral and as ``Fraction``
+    where a division made one; the public accessors return ``Fraction``.
 
     >>> p = (MultiPoly.one() + MultiPoly.t()) ** 2
     >>> str(p)
@@ -110,10 +158,10 @@ class MultiPoly:
 
     @property
     def terms(self) -> dict[Exponents, Fraction]:
-        return dict(self._terms)
+        return {key: Fraction(value) for key, value in self._terms.items()}
 
     def coefficient(self, deg_s: int, deg_t: int) -> Fraction:
-        return self._terms.get((deg_s, deg_t), Fraction(0))
+        return Fraction(self._terms.get((deg_s, deg_t), 0))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -141,7 +189,7 @@ class MultiPoly:
         )
 
     def coefficient_sum(self) -> Fraction:
-        return sum(self._terms.values(), Fraction(0))
+        return Fraction(sum(self._terms.values()))
 
     # -- ring operations ----------------------------------------------
 
@@ -160,7 +208,7 @@ class MultiPoly:
             return NotImplemented
         terms = dict(self._terms)
         for key, value in other._terms.items():
-            terms[key] = terms.get(key, Fraction(0)) + value
+            terms[key] = terms.get(key, 0) + value
         return self._meet(other)._new(terms)
 
     __radd__ = __add__
@@ -187,11 +235,8 @@ class MultiPoly:
             )
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        terms: dict[Exponents, Fraction] = {}
-        for (a, b), c1 in self._terms.items():
-            for (d, e), c2 in other._terms.items():
-                key = (a + d, b + e)
-                terms[key] = terms.get(key, Fraction(0)) + c1 * c2
+        terms: dict[Exponents, Scalar] = {}
+        _convolve(terms, self._terms, other._terms)
         return MultiPoly(terms)
 
     __rmul__ = __mul__
@@ -266,7 +311,7 @@ class MultiPoly:
         return " + ".join(chunks).replace("+ -", "- ")
 
     def __repr__(self) -> str:
-        return f"MultiPoly({self._terms!r})"
+        return f"MultiPoly({self.terms!r})"
 
 
 def _as_poly(value) -> "MultiPoly":
@@ -363,8 +408,8 @@ def gamma_expand(f: MultiPoly, center_numerator: int) -> GammaExpansion:
     residual = f
     gammas = []
     for i in range(m // 2 + 1):
-        g = residual.coefficient(0, i)
-        gammas.append(g)
+        g = residual._terms.get((0, i), 0)
+        gammas.append(Fraction(g))
         if g:
             residual = residual - MultiPoly.monomial(0, i, g) * one_plus_t ** (m - 2 * i)
     if not residual.is_zero():
@@ -372,16 +417,6 @@ def gamma_expand(f: MultiPoly, center_numerator: int) -> GammaExpansion:
             f"polynomial is not symmetric about {m}/2", residual
         )
     return GammaExpansion(center_numerator=m, gammas=tuple(gammas))
-
-
-@lru_cache(maxsize=None)
-def _half_binomial(j: int) -> Fraction:
-    """Binomial coefficient (1/2 choose j)."""
-    value = Fraction(1)
-    for i in range(j):
-        value *= Fraction(1, 2) - i
-        value /= i + 1
-    return value
 
 
 class TruncSeries(MultiPoly):
@@ -404,17 +439,12 @@ class TruncSeries(MultiPoly):
     def __init__(self, terms: Mapping[Exponents, Scalar], order: int):
         if order < 0:
             raise ValueError("truncation order must be nonnegative")
-        super().__init__(terms)
+        self._terms = _clean(terms, order)
         self.order = order
-        self._terms = {
-            key: value
-            for key, value in self._terms.items()
-            if key[0] + key[1] <= order
-        }
 
     @classmethod
     def from_poly(cls, p: MultiPoly, order: int) -> "TruncSeries":
-        return cls(p.terms, order)
+        return cls(p._terms, order)
 
     @classmethod
     def constant(cls, c: Scalar, order: int) -> "TruncSeries":
@@ -453,61 +483,94 @@ class TruncSeries(MultiPoly):
         if other is NotImplemented:
             return NotImplemented
         order = self._meet(other).order
-        terms: dict[Exponents, Fraction] = {}
+        # The right factor's terms by total degree, so that each left term
+        # meets only those that keep the product within the order.
+        right = sorted(
+            (d + e, d, e, c) for (d, e), c in other._terms.items() if d + e <= order
+        )
+        degrees = [term[0] for term in right]
+        within = [bisect_right(degrees, room) for room in range(order + 1)]
+        terms: dict[Exponents, Scalar] = {}
+        get = terms.get
         for (a, b), c1 in self._terms.items():
-            for (d, e), c2 in other._terms.items():
-                ds, dt = a + d, b + e
-                if ds + dt > order:
-                    continue
-                key = (ds, dt)
-                terms[key] = terms.get(key, Fraction(0)) + c1 * c2
+            room = order - a - b
+            if room < 0:
+                continue
+            for _, d, e, c2 in right[: within[room]]:
+                key = (a + d, b + e)
+                terms[key] = get(key, 0) + c1 * c2
         return TruncSeries(terms, order)
 
     __rmul__ = __mul__
 
-    def _power_sum(self, coefficient) -> "TruncSeries":
-        """sum over j >= 0 of coefficient(j) * self^j, for self without a
-        constant term: self^j contributes nothing once j exceeds the order."""
-        result = TruncSeries.constant(coefficient(0), self.order)
-        power = TruncSeries.constant(1, self.order)
-        for j in range(1, self.order + 1):
-            power = power * self
-            if not power._terms:
-                break
-            c = coefficient(j)
-            result = result + (power if c == 1 else power * c)
-        return result
+    def _graded(self) -> list[dict[Exponents, Scalar]]:
+        """The homogeneous parts of total degree 0..order."""
+        parts: list[dict[Exponents, Scalar]] = [{} for _ in range(self.order + 1)]
+        for key, value in self._terms.items():
+            parts[key[0] + key[1]][key] = value
+        return parts
+
+    def _from_graded(self, parts: list[dict[Exponents, Scalar]]) -> "TruncSeries":
+        return TruncSeries(
+            {key: value for part in parts for key, value in part.items()}, self.order
+        )
 
     def inverse(self) -> "TruncSeries":
-        """Multiplicative inverse; requires a nonzero constant term."""
-        c = self.constant_term()
+        """Multiplicative inverse; requires a nonzero constant term.
+
+        Solves g * self = 1 one total degree at a time: with c the
+        constant term and f_i, g_i the parts of degree i,
+        g_d = -(1/c) * sum over 1 <= i <= d of f_i g_(d-i).
+        """
+        c = self._terms.get((0, 0), 0)
         if not c:
             raise ValueError("cannot invert a series with zero constant term")
-        # 1/(c(1 - r)) = (1/c) * sum r^j, where r = 1 - self/c.
-        r = 1 - self * (Fraction(1) / c)
-        return r._power_sum(lambda j: 1) * (Fraction(1) / c)
+        f = self._graded()
+        g = [{(0, 0): _quotient(1, c)}]
+        for d in range(1, self.order + 1):
+            acc: dict[Exponents, Scalar] = {}
+            for i in range(1, d + 1):
+                _convolve(acc, f[i], g[d - i])
+            g.append({key: _quotient(-value, c) for key, value in acc.items() if value})
+        return self._from_graded(g)
 
     def __truediv__(self, other) -> "TruncSeries":
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise ZeroDivisionError("division by zero")
-            return self * (Fraction(1) / Fraction(other))
+            return TruncSeries(
+                {key: _quotient(value, other) for key, value in self._terms.items()},
+                self.order,
+            )
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
         return self * self._meet(other)._new(other._terms).inverse()
 
     def sqrt(self) -> "TruncSeries":
-        """Square root with constant term 1 (the +1 branch): the binomial
-        series sum (1/2 choose j) h^j, where h = self - 1.
+        """Square root with constant term 1 (the +1 branch).
+
+        Solves g^2 = self one total degree at a time: with f_i, g_i the
+        parts of degree i, 2 g_d = f_d - sum over 0 < i < d of g_i g_(d-i).
+        The only division is by 2, so an integral root stays integral.
 
         >>> t = TruncSeries.from_poly(MultiPoly.t(), 3)
         >>> (1 - t).sqrt().terms[(0, 1)]
         Fraction(-1, 2)
         """
-        if self.constant_term() != 1:
+        if self._terms.get((0, 0), 0) != 1:
             raise ValueError("square root requires constant term exactly 1")
-        return (self - 1)._power_sum(_half_binomial)
+        f = self._graded()
+        g = [{(0, 0): 1}]
+        for d in range(1, self.order + 1):
+            acc = dict(f[d])
+            # The sum pairs g_i with g_(d-i): count each unequal pair twice.
+            for i in range(1, (d + 1) // 2):
+                _convolve(acc, g[i], g[d - i], -2)
+            if d % 2 == 0:
+                _convolve(acc, g[d // 2], g[d // 2], -1)
+            g.append({key: _quotient(value, 2) for key, value in acc.items() if value})
+        return self._from_graded(g)
 
     def extract_t_factor(self) -> "TruncSeries":
         """Divide by t, reducing the truncation order by one."""
@@ -548,7 +611,7 @@ class TruncSeries(MultiPoly):
         return f"{super().__str__()} + O(degree {self.order + 1})"
 
     def __repr__(self) -> str:
-        return f"TruncSeries({self._terms!r}, order={self.order})"
+        return f"TruncSeries({self.terms!r}, order={self.order})"
 
 
 def poly_at_series(p: MultiPoly, a: TruncSeries) -> TruncSeries:
@@ -563,7 +626,7 @@ def poly_at_series(p: MultiPoly, a: TruncSeries) -> TruncSeries:
     """
     if not p.is_univariate_in_t():
         raise ValueError("substitution argument must be a polynomial in t alone")
-    coeffs = {dt: c for (_, dt), c in p.terms.items()}
+    coeffs = {dt: c for (_, dt), c in p._terms.items()}
     result = a._new({})
     power = a._new({(0, 0): 1})
     for j in range(0, max(coeffs, default=0) + 1):

@@ -43,7 +43,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .algebra import (
     GammaExpansion,
@@ -61,7 +61,6 @@ from .enumeration import (
     dist_exc,
     dist_joint,
     joint_counts,
-    z_lambda,
 )
 from .hopping import orbit
 from .permutations import CycleType, Permutation, stat_counts
@@ -85,8 +84,8 @@ __all__ = [
 
 
 def _first_difference(lhs: MultiPoly, rhs: MultiPoly):
-    for key in sorted(set(lhs.terms) | set(rhs.terms)):
-        a, b = lhs.coefficient(*key), rhs.coefficient(*key)
+    for key in sorted(lhs._terms.keys() | rhs._terms.keys()):
+        a, b = lhs._terms.get(key, 0), rhs._terms.get(key, 0)
         if a != b:
             return {"monomial": {"s": key[0], "t": key[1]}, "lhs": str(a), "rhs": str(b)}
     return None
@@ -131,14 +130,17 @@ def _brenti_product(ct: CycleType, core: MultiPoly, x: MultiPoly) -> MultiPoly:
     """Brenti's product with core and argument x substituted:
     (n!/z_lambda) * core^(n - m_1) * prod over part sizes i of
     [A_(i-1)(x)/(i-1)!]^(m_i). The result has the kind of core and x:
-    polynomials for ``brenti``, series for Theorems 1 and 6."""
+    polynomials for ``brenti``, series for Theorems 1 and 6.
+
+    The Eulerian factors are multiplied unscaled and the scalar is applied
+    once, as the integer multinomial n!/prod_i(i!^(m_i) m_i!), which is
+    (n!/z_lambda)/prod_i (i-1)!^(m_i)."""
     result = core ** (ct.n - ct.fixed_point_count)
+    denominator = 1
     for size, mult in sorted(ct.multiplicities.items()):
-        factor = poly_at_series(eulerian(size - 1), x) * Fraction(
-            1, factorial(size - 1)
-        )
-        result = result * factor**mult
-    return result * Fraction(factorial(ct.n), z_lambda(ct))
+        denominator *= factorial(size) ** mult * factorial(mult)
+        result = result * poly_at_series(eulerian(size - 1), x) ** mult
+    return result * (factorial(ct.n) // denominator)
 
 
 def _series_class_poly(
@@ -186,7 +188,7 @@ def _theorem1_substitutions(order: int) -> tuple[TruncSeries, TruncSeries]:
     root = radicand.sqrt()
 
     u_num = (one + t * t - 2 * s * t) - (one - t) * root
-    u = u_num.extract_t_factor() / (2 * (one - s))
+    u = u_num.extract_t_factor() / 2 / (one - s)
 
     v_num = ((one + t) ** 2 - 2 * s * t) - (one + t) * root
     v = v_num.extract_s_factor().extract_t_factor() / 2
@@ -220,9 +222,14 @@ def theorem6_cval(ct: CycleType, order: int | None = None) -> MultiPoly:
     '2*t'
     """
     order = ct.n + 4 if order is None else order
-    root = TruncSeries.from_poly(MultiPoly.one() - MultiPoly.t(), order).sqrt()
-    w = (1 - root).extract_t_factor() * 2 - 1
-    result = _brenti_product(ct, 1 + root, w)
+    # Evaluated at t = 4x, where sqrt(1 - 4x) and w are integral series
+    # in x; the coefficient of x^k is then 4^k times that of t^k.
+    root = TruncSeries.from_poly(MultiPoly.one() - 4 * MultiPoly.t(), order).sqrt()
+    w = (1 - root).extract_t_factor() / 2 - 1
+    at_4x = _brenti_product(ct, 1 + root, w)
+    result = TruncSeries(
+        {(0, k): Fraction(c, 4**k) for (_, k), c in at_4x._terms.items()}, at_4x.order
+    )
     return _series_class_poly(result, ct, order, "theorem6_cval")
 
 
@@ -388,7 +395,12 @@ def corollary2_check(ct: CycleType) -> list[GammaExpansion]:
     m = ct.n - ct.fixed_point_count
     expansions = []
     for i in range(joint.s_degree() + 1):
-        expansions.append(gamma_expand(joint.coefficient_of_s(i), m))
+        try:
+            expansions.append(gamma_expand(joint.coefficient_of_s(i), m))
+        except GammaExpansionError as err:
+            # The residual is in t alone; put it back at s^i.
+            residual = err.residual * MultiPoly.monomial(i, 0)
+            raise GammaExpansionError(f"coefficient of s^{i}: {err}", residual) from err
     return expansions
 
 
@@ -418,13 +430,14 @@ def corollary4_check(n: int, k: int, i: int) -> VerificationReport:
 
 
 def _egf_denominator_coefficient(j: int) -> MultiPoly:
-    """Coefficient of x^j in the radical-free denominator
+    """j! times the coefficient of x^j in the radical-free denominator
 
-    sum_m x^(2m) (1-t)^m / (2m)!  -  sum_m x^(2m+1) (1-t)^m / (2m+1)!.
+    sum_m x^(2m) (1-t)^m / (2m)!  -  sum_m x^(2m+1) (1-t)^m / (2m+1)!,
+
+    that is (1-t)^(j/2) for even j and -(1-t)^((j-1)/2) for odd j.
     """
     power = (MultiPoly.one() - MultiPoly.t()) ** (j // 2)
-    sign = 1 if j % 2 == 0 else -1
-    return power * Fraction(sign, factorial(j))
+    return power if j % 2 == 0 else -power
 
 
 def egf_snki(n_max: int) -> dict[tuple[int, int, int], int]:
@@ -438,7 +451,9 @@ def egf_snki(n_max: int) -> dict[tuple[int, int, int], int]:
     The sqrt(1-t) factors cancel: dividing the denominator by sqrt(1-t)
     term by term leaves only integer powers of (1-t), so the whole
     computation is a truncated series in x whose coefficients are exact
-    polynomials in u and t (u rides in the s-slot of MultiPoly).
+    polynomials in u and t (u rides in the s-slot of MultiPoly). Each
+    series is kept with its x^j coefficient scaled by j!, so products
+    become binomial convolutions and every polynomial stays integral.
 
     >>> table = egf_snki(3)
     >>> table[(3, 0, 1)], table[(3, 1, 1)], table[(3, 3, 0)]
@@ -448,27 +463,26 @@ def egf_snki(n_max: int) -> dict[tuple[int, int, int], int]:
         raise ValueError("n_max must be positive")
     size = n_max + 1
     u_minus_1 = MultiPoly.s() - MultiPoly.one()
-    numerator = [u_minus_1**j * Fraction(1, factorial(j)) for j in range(size)]
+    numerator = [u_minus_1**j for j in range(size)]
     denominator = [_egf_denominator_coefficient(j) for j in range(size)]
 
     # Invert the denominator as a power series in x over the polynomial
-    # ring: D = 1 - r with r starting at x^1, so 1/D = sum r^j.
-    inverse = [MultiPoly.zero()] * size
-    inverse[0] = MultiPoly.one()
+    # ring: D_0 = 1, so j! [x^j] 1/D = -sum_m C(j, m) D_m J_(j-m).
+    inverse = [MultiPoly.one()]
     for j in range(1, size):
         acc = MultiPoly.zero()
         for m in range(1, j + 1):
-            acc = acc + denominator[m] * inverse[j - m]
-        inverse[j] = -acc
+            acc = acc + denominator[m] * inverse[j - m] * comb(j, m)
+        inverse.append(-acc)
 
     table: dict[tuple[int, int, int], int] = {}
     for n in range(1, size):
-        coeff = MultiPoly.zero()
+        poly = MultiPoly.zero()
         for m in range(n + 1):
-            coeff = coeff + numerator[m] * inverse[n - m]
-        poly = _require_integral(coeff * factorial(n), f"egf_snki x^{n}")
-        for (k, i), value in poly.terms.items():
+            poly = poly + numerator[m] * inverse[n - m] * comb(n, m)
+        _require_integral(poly, f"egf_snki x^{n}")
+        for (k, i), value in poly._terms.items():
             if value < 0:
                 raise ArithmeticError(f"negative count at n={n}, k={k}, i={i}")
-            table[(n, k, i)] = int(value)
+            table[(n, k, i)] = value
     return table

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -273,6 +274,52 @@ class TestTruncSeries:
             p = ONE + random_poly(rng) * T
             a = TruncSeries.from_poly(p, 6)
             assert a * a.inverse() == TruncSeries.constant(1, 6)
+
+
+class TestSeriesKernels:
+    """The degree-by-degree inverse and square root against closed forms."""
+
+    def test_sqrt_of_one_minus_four_t_is_catalan(self):
+        order = 12
+        root = TruncSeries.from_poly(ONE - 4 * T, order).sqrt()
+        catalan = [math.comb(2 * k, k) // (k + 1) for k in range(order)]
+        expected = ONE - 2 * sum(
+            (catalan[j - 1] * T**j for j in range(1, order + 1)), MultiPoly.zero()
+        )
+        assert root == TruncSeries.from_poly(expected, order)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_sqrt_of_one_plus_or_minus_t_is_binomial(self, sign):
+        # sqrt(1 + x) = sum (-1)^j C(2j, j) / ((1 - 2j) 4^j) x^j, at x = sign*t.
+        order = 10
+        root = TruncSeries.from_poly(ONE + sign * T, order).sqrt()
+        for j in range(order + 1):
+            expected = Fraction(
+                (-sign) ** j * math.comb(2 * j, j), (1 - 2 * j) * 4**j
+            )
+            assert root.coefficient(0, j) == expected, j
+
+    def test_inverse_with_fractional_non_unit_constant(self):
+        order = 6
+        a = TruncSeries.from_poly(Fraction(3, 2) - T, order)
+        inverse = a.inverse()
+        for j in range(order + 1):
+            assert inverse.coefficient(0, j) == Fraction(2, 3) ** (j + 1), j
+        b = TruncSeries.from_poly(Fraction(-2, 5) + 3 * S - T * S + T**2, order)
+        assert b * b.inverse() == 1
+
+    def test_public_coefficients_are_fractions(self):
+        p = (ONE + T) ** 3 + 2 * S
+        assert all(type(c) is Fraction for c in p.terms.values())
+        assert type(p.coefficient(0, 1)) is Fraction
+        assert type(p.coefficient(4, 4)) is Fraction
+        assert type(p.coefficient_sum()) is Fraction
+        assert type(p.evaluate(1, 2)) is Fraction
+        series = TruncSeries.from_poly(p, 4)
+        assert all(type(c) is Fraction for c in series.terms.values())
+        assert type(series.constant_term()) is Fraction
+        gammas = gamma_expand(ONE + 11 * T + 11 * T**2 + T**3, 3).gammas
+        assert gammas == (1, 8) and all(type(g) is Fraction for g in gammas)
 
 
 class TestPolyAtSeries:

@@ -119,18 +119,23 @@ class TestBeyondEnumeration:
     """The closed forms against the factorized route where enumeration is
     out of reach; both already match enumeration for n <= 8."""
 
+    @staticmethod
+    def assert_routes_agree(ct):
+        spec = ClassSpec.of_cycle_type(ct)
+        assert theorem1_joint(ct) == dist_joint(spec), ct
+        assert theorem6_cval(ct) == dist_cval(spec), ct
+
     def test_every_class_of_nine(self):
         for ct in partitions_of(9):
-            spec = ClassSpec.of_cycle_type(ct)
-            assert theorem1_joint(ct) == dist_joint(spec), ct
-            assert theorem6_cval(ct) == dist_cval(spec), ct
+            self.assert_routes_agree(ct)
+
+    def test_every_class_of_ten(self):
+        for ct in partitions_of(10):
+            self.assert_routes_agree(ct)
 
     def test_single_cycles(self):
-        for m in range(10, 17):
-            ct = CycleType((m,))
-            spec = ClassSpec.of_cycle_type(ct)
-            assert theorem1_joint(ct) == dist_joint(spec), ct
-            assert theorem6_cval(ct) == dist_cval(spec), ct
+        for m in range(10, 21):
+            self.assert_routes_agree(CycleType((m,)))
 
 
 class TestLemma1:
@@ -241,6 +246,16 @@ class TestCorollaries:
         for n in range(1, 7):
             for ct in partitions_of(n):
                 assert all(e.positive and e.is_integral() for e in corollary2_check(ct))
+
+    def test_cor2_residual_keeps_the_s_degree(self, monkeypatch):
+        # An asymmetric s^3 coefficient must be reported at s^3, not s^0.
+        monkeypatch.setattr(
+            "cyclestat.formulas.dist_joint", lambda spec, route: S**3 * (ONE + T)
+        )
+        with pytest.raises(GammaExpansionError) as caught:
+            corollary2_check(CycleType((3,)))
+        support = caught.value.residual.terms
+        assert support and all(ds == 3 for ds, _ in support)
 
 
 class TestTheorems4And5:
