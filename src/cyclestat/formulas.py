@@ -43,6 +43,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 from .algebra import (
@@ -233,22 +234,33 @@ def theorem6_cval(ct: CycleType, order: int | None = None) -> MultiPoly:
     return _series_class_poly(result, ct, order, "theorem6_cval")
 
 
+@lru_cache(maxsize=None)
+def _profile_terms(m: int, cval: int, exc: int) -> tuple[MultiPoly, MultiPoly]:
+    """One member's two sides in the identity of :func:`lemma1_check`:
+    t^exc (1+s)^m and (s+t)^(exc-cval) (1+st)^(m-cval-exc) t^cval (1+s)^(2 cval).
+    Only O(m^2) profiles occur, so each is built once per process."""
+    s, t, one = MultiPoly.s(), MultiPoly.t(), MultiPoly.one()
+    lhs = MultiPoly.monomial(0, exc) * (one + s) ** m
+    rhs = (
+        (s + t) ** (exc - cval)
+        * (one + s * t) ** (m - cval - exc)
+        * MultiPoly.monomial(0, cval)
+        * (one + s) ** (2 * cval)
+    )
+    return lhs, rhs
+
+
 def _cleared_identity(
     claim: str, instance: dict, counts: dict[tuple[int, int], int], m: int
 ) -> VerificationReport:
     """The identity of :func:`lemma1_check` over members counted by
-    (cval, exc), each profile's term computed once."""
-    s, t, one = MultiPoly.s(), MultiPoly.t(), MultiPoly.one()
+    (cval, exc): each profile's memoized terms, scaled and added."""
     lhs = rhs = MultiPoly.zero()
     for (cval, exc), mult in sorted(counts.items()):
-        lhs = lhs + MultiPoly.monomial(0, exc, mult)
-        rhs = rhs + (
-            (s + t) ** (exc - cval)
-            * (one + s * t) ** (m - cval - exc)
-            * MultiPoly.monomial(0, cval, mult)
-            * (one + s) ** (2 * cval)
-        )
-    return VerificationReport(claim, instance, lhs=lhs * (one + s) ** m, rhs=rhs)
+        left, right = _profile_terms(m, cval, exc)
+        lhs = lhs + left * mult
+        rhs = rhs + right * mult
+    return VerificationReport(claim, instance, lhs=lhs, rhs=rhs)
 
 
 def lemma1_check(sigma: Permutation) -> VerificationReport:

@@ -10,21 +10,33 @@ indexed by letters x in [n]:
   ends of the word -- the involution swaps w2 and w4, making x "hop" over
   its smaller neighbours. Peaks and valleys are left alone.
 
-* ``psi`` acts through the word obtained by erasing the parentheses of
-  the canonical cycle form (``foata``). The letter hops there, with a
+* ``psi`` is defined through the word obtained by erasing the parentheses
+  of the canonical cycle form (``foata``): the letter hops there, with a
   low boundary on the left and a high boundary on the right, and the
   result is read back into cycle form by cutting at left-to-right maxima
   (``foata_inverse``). Fixed points never move. This toggles cyclic
   double ascents and cyclic double descents while preserving cyclic
   valleys, cyclic peaks, fixed points, and the cycle type.
 
+``psi`` is computed without building that word. Each canonical cycle
+starts with its maximum, so a non-fixed letter x never hops out of its
+cycle, and in the word x's neighbours compare with x exactly as its cycle
+neighbours p^-1(x) and p(x) do. A hop therefore moves x to another place
+in its own cycle: a cyclic double ascent goes to just after the first
+larger letter before its run of smaller predecessors, a cyclic double
+descent to just after the last letter of its run of smaller successors.
+``_relink`` makes that move on two flat 1-indexed lists, ``nxt`` (p) and
+``prv`` (p^-1), by re-pointing three images. The Foata-word definition
+itself is kept as the test oracle.
+
 The orbit of a permutation under ``psi`` has size 2^(n - fix - 2*cval)
 and contains exactly one member without cyclic double ascents; ``orbit``
-computes all of this by explicit enumeration.
+computes all of this by explicit enumeration, one relink per member.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .permutations import (
@@ -203,25 +215,56 @@ def phi(p: Permutation, letters) -> Permutation:
     return Permutation(word)
 
 
+def _links(word: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """``nxt`` and ``prv``: the images under p and p^-1, 1-indexed (slot 0
+    unused)."""
+    nxt = [0, *word]
+    prv = [0] * len(nxt)
+    for i, a in enumerate(word, start=1):
+        prv[a] = i
+    return nxt, prv
+
+
+def _relink(nxt: list[int], prv: list[int], x: int) -> None:
+    """Hop the letter x in place, if it is a cyclic double ascent or descent.
+
+    x leaves its place between p^-1(x) and p(x) and is put back just
+    after the letter y found below, in the same cycle; peaks, valleys and
+    fixed points match neither case and stay put.
+    """
+    a, b = prv[x], nxt[x]
+    if a < x < b:  # double ascent: back over the smaller predecessors
+        y = a
+        while y < x:
+            y = prv[y]
+    elif a > x > b:  # double descent: forward over the smaller successors
+        y = b
+        while nxt[y] < x:
+            y = nxt[y]
+    else:
+        return
+    nxt[a], prv[b] = b, a
+    c = nxt[y]
+    nxt[y], prv[x], nxt[x], prv[c] = x, y, c, x
+
+
 def psi(p: Permutation, letters) -> Permutation:
     """Apply the cycle-level hop involution for every letter in ``letters``.
 
-    Fixed points of p are left untouched; other letters hop inside the
-    parenthesis-erased word with a low left boundary and a high right
-    boundary. The output has the same cycle type as p.
+    Fixed points of p are left untouched; every other letter hops inside
+    its cycle as it would in the parenthesis-erased word with a low left
+    boundary and a high right boundary. The output has the same cycle
+    type as p.
 
     >>> from .permutations import parse_permutation, to_cycle_form
     >>> p = parse_permutation("(5,2,3)(8)(9,7,6,4,1)")
     >>> str(to_cycle_form(psi(p, {3, 7})))
     '(5,3,2)(8)(9,6,4,1,7)'
     """
-    fixed = {i for i in range(1, p.n + 1) if p.word[i - 1] == i}
-    word = _erase_parentheses(p.word)
+    nxt, prv = _links(p.word)
     for x in _check_letters(letters, p.n):
-        if x in fixed:
-            continue
-        word = _hop(word, x, LOW_BOUNDARY, HIGH_BOUNDARY)
-    return Permutation(_cut_at_maxima(word))
+        _relink(nxt, prv, x)
+    return Permutation._trusted(tuple(nxt[1:]))
 
 
 @dataclass(frozen=True)
@@ -244,8 +287,9 @@ def orbit(p: Permutation, collect_members: bool = False) -> OrbitReport:
 
     Only cyclic double ascents and cyclic double descents can move, so the
     orbit is generated by toggling subsets of those letters; the walk
-    below flips one letter at a time (Gray order), costing one hop per
-    member.
+    below flips one letter at a time (Gray order), relinking one letter of
+    one pair of flat lists in place per member. ``size`` counts the
+    distinct members the walk meets.
 
     >>> rep = orbit(Permutation((2, 3, 1)), collect_members=True)
     >>> rep.size, [str(m) for m in rep.members]
@@ -253,19 +297,18 @@ def orbit(p: Permutation, collect_members: bool = False) -> OrbitReport:
     """
     sets = stat_sets(p)
     toggles = sorted(sets.cdasc_set | sets.cddes_set)
-    members = {p}
-    current = p
+    nxt, prv = _links(p.word)
+    words = {p.word}
     for step in range(1, 1 << len(toggles)):
         bit = (step & -step).bit_length() - 1
-        current = psi(current, (toggles[bit],))
-        members.add(current)
-    representative = psi(p, sets.cdasc_set)
+        _relink(nxt, prv, toggles[bit])
+        words.add(tuple(nxt[1:]))
     return OrbitReport(
-        representative=representative,
-        size=len(members),
+        representative=psi(p, sets.cdasc_set),
+        size=len(words),
         cval=len(sets.cval_set),
         fix=len(sets.fix_set),
-        members=tuple(sorted(members, key=lambda q: q.word))
+        members=tuple(map(Permutation._trusted, sorted(words)))
         if collect_members
         else None,
     )
@@ -278,9 +321,8 @@ def orbit_exc_polynomial(p: Permutation):
     """
     from .algebra import MultiPoly
 
-    report = orbit(p, collect_members=True)
-    total = MultiPoly.zero()
-    for member in report.members:
-        exc = sum(1 for i, a in enumerate(member.word, start=1) if i < a)
-        total = total + MultiPoly.monomial(0, exc)
-    return total
+    excs = Counter(
+        sum(1 for i, a in enumerate(member.word, start=1) if i < a)
+        for member in orbit(p, collect_members=True).members
+    )
+    return MultiPoly({(0, exc): count for exc, count in excs.items()})

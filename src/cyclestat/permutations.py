@@ -80,6 +80,18 @@ class Permutation:
         object.__setattr__(self, "word", tuple(self.word))
         _validate_word(self.word)
 
+    @classmethod
+    def _trusted(cls, word: tuple[int, ...]) -> "Permutation":
+        """Wrap a word already known to be a permutation, unvalidated.
+
+        Only for words the library built from a valid permutation (the
+        hop kernel's relinked images); every outside word goes through
+        the validating constructor.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "word", word)
+        return self
+
     @property
     def n(self) -> int:
         return len(self.word)

@@ -49,3 +49,60 @@ def oracle_cycle_sizes(word: tuple[int, ...]) -> tuple[int, ...]:
             size += 1
         sizes.append(size)
     return tuple(sorted(sizes))
+
+
+def oracle_foata_word(word: tuple[int, ...]) -> list[int]:
+    """The canonical cycles of ``word`` (largest letter first, cycles by
+    increasing largest letter) with their parentheses erased."""
+    cycles = []
+    seen = set()
+    for start in range(1, len(word) + 1):
+        if start in seen:
+            continue
+        cycle = [start]
+        seen.add(start)
+        a = word[start - 1]
+        while a != start:
+            cycle.append(a)
+            seen.add(a)
+            a = word[a - 1]
+        top = cycle.index(max(cycle))
+        cycles.append(cycle[top:] + cycle[:top])
+    return [a for cycle in sorted(cycles) for a in cycle]
+
+
+def oracle_psi(word: tuple[int, ...], letters) -> tuple[int, ...]:
+    """The cycle-level hop, straight from its Foata-word definition.
+
+    Erase the parentheses; for each non-fixed letter x in turn, factor the
+    word as w1 w2 x w4 w5 (w2, w4 the maximal runs of letters below x
+    beside it) and swap w2 and w4 when x is a double ascent or descent,
+    judged with a low boundary letter on the left and a high one on the
+    right; then cut before each left-to-right maximum to get the cycles.
+    """
+    n = len(word)
+    w = oracle_foata_word(word)
+    for x in sorted(set(letters)):
+        if word[x - 1] == x:
+            continue
+        pos = w.index(x)
+        lo = pos
+        while lo > 0 and w[lo - 1] < x:
+            lo -= 1
+        hi = pos + 1
+        while hi < n and w[hi] < x:
+            hi += 1
+        left_smaller = lo < pos or lo == 0  # w2, or the low boundary
+        right_smaller = hi > pos + 1  # w4; otherwise a larger letter or the high boundary
+        if left_smaller != right_smaller:
+            w = w[:lo] + w[pos + 1 : hi] + [x] + w[lo:pos] + w[hi:]
+    image = [0] * n
+    best = 0
+    for i, a in enumerate(w):
+        if a > best:
+            best, first = a, a  # a left-to-right maximum opens a cycle
+        if i + 1 == n or w[i + 1] > best:
+            image[a - 1] = first  # the last letter of a cycle closes it
+        else:
+            image[a - 1] = w[i + 1]
+    return tuple(image)

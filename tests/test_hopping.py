@@ -2,7 +2,11 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import cyclestat
+from cyclestat import hopping
 from cyclestat.algebra import MultiPoly
 from cyclestat.hopping import (
     HIGH_BOUNDARY,
@@ -16,6 +20,7 @@ from cyclestat.hopping import (
     x_factorize,
 )
 from cyclestat.permutations import (
+    Permutation,
     cycle_type,
     from_one_line,
     identity,
@@ -25,7 +30,7 @@ from cyclestat.permutations import (
     to_cycle_form,
 )
 
-from conftest import all_perms
+from conftest import all_perms, oracle_psi
 
 
 def all_subsets(letters):
@@ -274,3 +279,143 @@ class TestOrbitExcPolynomial:
         p = parse_permutation("(5,2,1)(6)(8)(11,9,10,4,3,7)")
         t = MultiPoly.t()
         assert orbit_exc_polynomial(p) == MultiPoly.monomial(0, 3) * (1 + t) ** 3
+
+
+class TestPsiOracle:
+    """The relinking kernel against the Foata-word definition."""
+
+    def test_every_subset_up_to_six(self):
+        for n in range(0, 7):
+            for p in all_perms(n):
+                for letters in all_subsets(range(1, n + 1)):
+                    assert psi(p, letters).word == oracle_psi(p.word, letters)
+
+    def test_every_singleton_on_seven(self):
+        for p in all_perms(7):
+            for x in range(1, 8):
+                assert psi(p, {x}).word == oracle_psi(p.word, {x})
+
+
+PROPERTY_SETTINGS = settings(
+    max_examples=60, deadline=None, derandomize=True, database=None
+)
+
+
+@st.composite
+def perms_with_letters(draw):
+    """A permutation of [n], 9 <= n <= 14, with a letter set and two letters."""
+    n = draw(st.integers(9, 14))
+    p = Permutation(tuple(draw(st.permutations(range(1, n + 1)))))
+    letters = draw(st.sets(st.integers(1, n)))
+    x, y = draw(st.integers(1, n)), draw(st.integers(1, n))
+    return p, letters, x, y
+
+
+@st.composite
+def large_orbit_perms(draw):
+    """A permutation of [n], 9 <= n <= 14, with one cyclic valley per cycle.
+
+    A random word is cut before its left-to-right maxima; each piece keeps
+    its maximum first and lists the rest increasingly, so every letter
+    after the cycle's minimum is a cyclic double ascent and the orbit has
+    2^(n - fix - 2 * cycles) members.
+    """
+    n = draw(st.integers(9, 14))
+    cycles = []
+    for a in draw(st.permutations(range(1, n + 1))):
+        if not cycles or a > cycles[-1][0]:
+            cycles.append([a])
+        else:
+            cycles[-1].append(a)
+    word = [0] * n
+    for top, *rest in cycles:
+        cycle = [top, *sorted(rest)]
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            word[a - 1] = b
+    return Permutation(tuple(word))
+
+
+class TestHoppingProperties:
+    @PROPERTY_SETTINGS
+    @given(perms_with_letters())
+    def test_psi_matches_oracle(self, case):
+        p, letters, x, y = case
+        assert psi(p, letters).word == oracle_psi(p.word, letters)
+
+    @PROPERTY_SETTINGS
+    @given(perms_with_letters())
+    def test_involution_and_pairwise_commutation(self, case):
+        p, letters, x, y = case
+        assert psi(psi(p, letters), letters) == p
+        assert psi(psi(p, {x}), {y}) == psi(psi(p, {y}), {x}) == psi(p, {x} ^ {y})
+
+    @PROPERTY_SETTINGS
+    @given(perms_with_letters())
+    def test_toggle_rules(self, case):
+        p, letters, x, y = case
+        q = psi(p, letters)
+        s, sq = stat_sets(p), stat_sets(q)
+        assert sq.cval_set == s.cval_set
+        assert sq.cpk_set == s.cpk_set
+        assert sq.fix_set == s.fix_set
+        assert cycle_type(q) == cycle_type(p)
+        assert sq.cdasc_set == (s.cdasc_set - letters) | (letters & s.cddes_set)
+        assert sq.cddes_set == (s.cddes_set - letters) | (letters & s.cdasc_set)
+
+    @PROPERTY_SETTINGS
+    @given(st.one_of(perms_with_letters().map(lambda case: case[0]), large_orbit_perms()))
+    def test_orbit_size_law_and_unique_representative(self, p):
+        c = stat_counts(p)
+        exponent = p.n - c.fix - 2 * c.cval
+        assume(exponent <= 10)
+        report = orbit(p, collect_members=True)
+        assert report.size == len(report.members) == 2**exponent
+        no_dasc = [m for m in report.members if stat_counts(m).cdasc == 0]
+        assert no_dasc == [report.representative]
+
+
+def misplaced_relink(nxt, prv, x):
+    """A faulty relink: x lands just before its target letter, not after."""
+    a, b = prv[x], nxt[x]
+    if a < x < b:
+        y = a
+        while y < x:
+            y = prv[y]
+    elif a > x > b:
+        y = b
+        while nxt[y] < x:
+            y = nxt[y]
+    else:
+        return
+    nxt[a], prv[b] = b, a
+    c = prv[y]
+    nxt[c], prv[x], nxt[x], prv[y] = x, c, y, x
+
+
+class TestMutationSmoke:
+    def test_misplaced_relink_is_caught(self, monkeypatch):
+        monkeypatch.setattr(hopping, "_relink", misplaced_relink)
+        cases = [(p, {x}) for p in all_perms(5) for x in range(1, 6)]
+        assert any(psi(p, S).word != oracle_psi(p.word, S) for p, S in cases)
+        assert any(psi(psi(p, S), S) != p for p, S in cases)
+
+
+class TestValidationBoundary:
+    @pytest.mark.parametrize("word", [(1, 1), (0, 1)])
+    def test_public_constructor_still_validates(self, word):
+        with pytest.raises(ValueError):
+            Permutation(word)
+
+    def test_psi_rejects_foreign_letters(self):
+        for n in (1, 4, 9):
+            p = Permutation(tuple(range(n, 0, -1)))
+            with pytest.raises(ValueError):
+                psi(p, {n + 1})
+
+    def test_trusted_constructor_is_private(self):
+        assert "_trusted" not in cyclestat.__all__
+
+    def test_orbit_size_counts_distinct_members(self):
+        for n in range(0, 6):
+            for p in all_perms(n):
+                assert orbit(p).size == len(orbit(p, collect_members=True).members)
