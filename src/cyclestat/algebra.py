@@ -129,30 +129,31 @@ class MultiPoly:
         self._terms = _clean(terms or {})
 
     # -- constructors -------------------------------------------------
+    # Static: reached through ``TruncSeries`` too, they build polynomials.
 
-    @classmethod
-    def zero(cls) -> "MultiPoly":
-        return cls()
+    @staticmethod
+    def zero() -> "MultiPoly":
+        return MultiPoly()
 
-    @classmethod
-    def one(cls) -> "MultiPoly":
-        return cls({(0, 0): 1})
+    @staticmethod
+    def one() -> "MultiPoly":
+        return MultiPoly({(0, 0): 1})
 
-    @classmethod
-    def constant(cls, c: Scalar) -> "MultiPoly":
-        return cls({(0, 0): c})
+    @staticmethod
+    def constant(c: Scalar) -> "MultiPoly":
+        return MultiPoly({(0, 0): c})
 
-    @classmethod
-    def s(cls) -> "MultiPoly":
-        return cls({(1, 0): 1})
+    @staticmethod
+    def s() -> "MultiPoly":
+        return MultiPoly({(1, 0): 1})
 
-    @classmethod
-    def t(cls) -> "MultiPoly":
-        return cls({(0, 1): 1})
+    @staticmethod
+    def t() -> "MultiPoly":
+        return MultiPoly({(0, 1): 1})
 
-    @classmethod
-    def monomial(cls, deg_s: int, deg_t: int, coeff: Scalar = 1) -> "MultiPoly":
-        return cls({(deg_s, deg_t): coeff})
+    @staticmethod
+    def monomial(deg_s: int, deg_t: int, coeff: Scalar = 1) -> "MultiPoly":
+        return MultiPoly({(deg_s, deg_t): coeff})
 
     # -- inspection ---------------------------------------------------
 
@@ -445,10 +446,6 @@ class TruncSeries(MultiPoly):
     @classmethod
     def from_poly(cls, p: MultiPoly, order: int) -> "TruncSeries":
         return cls(p._terms, order)
-
-    @classmethod
-    def constant(cls, c: Scalar, order: int) -> "TruncSeries":
-        return cls({(0, 0): c}, order)
 
     def constant_term(self) -> Fraction:
         return self.coefficient(0, 0)

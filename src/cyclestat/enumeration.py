@@ -21,8 +21,8 @@ Distribution polynomials come by one of two routes, named by the
   without materializing it, adding each completed cycle's contribution
   once for the whole subtree of completions. This is the brute-force
   oracle that every closed form in :mod:`cyclestat.formulas` is checked
-  against, and the only route the member-count guardrail applies to: a
-  caller's ``cap``, else :func:`class_cap` (``CYCLESTAT_CLASS_CAP``).
+  against, and the only route the member-count guardrail
+  (:func:`class_cap`, set by ``CYCLESTAT_CLASS_CAP``) applies to.
 
 Sets specified by a fixed-point count k (optionally also by a cyclic
 valley count i) are unions of the conjugacy classes with m_1 = k, and are
@@ -217,7 +217,7 @@ class ClassSpec:
 
 
 def class_cap() -> int:
-    """The member cap every enumeration defaults to: ``CYCLESTAT_CLASS_CAP``,
+    """The member cap of every enumeration: ``CYCLESTAT_CLASS_CAP``,
     or 10^8 when unset or empty; ValueError unless a nonnegative integer."""
     raw = os.environ.get("CYCLESTAT_CLASS_CAP")
     if not raw:
@@ -229,8 +229,8 @@ def class_cap() -> int:
     return int(raw)
 
 
-def _check_cap(spec: ClassSpec, cap: int | None) -> None:
-    cap = class_cap() if cap is None else cap
+def _check_cap(spec: ClassSpec) -> None:
+    cap = class_cap()
     bound = spec.member_bound()
     if bound > cap:
         raise ClassTooLargeError(
@@ -381,14 +381,12 @@ def _factorized_counts(ct: CycleType) -> dict[tuple[int, int], int]:
     return {key: scale * count for key, count in product.items()}
 
 
-def _class_counts(
-    spec: ClassSpec, route: str, cap: int | None
-) -> dict[tuple[int, int], int]:
+def _class_counts(spec: ClassSpec, route: str) -> dict[tuple[int, int], int]:
     """Map (cval, exc) -> member count over the spec, as a fresh dict."""
     if route == "factorize":
         per_class = _factorized_counts
     elif route == "enumerate":
-        _check_cap(spec, cap)
+        _check_cap(spec)
         per_class = _enumerated_counts
     else:
         raise ValueError(f"route must be 'factorize' or 'enumerate', got {route!r}")
@@ -400,16 +398,16 @@ def _class_counts(
     return combined
 
 
-def iter_class(spec: ClassSpec, cap: int | None = None) -> Iterator[Permutation]:
+def iter_class(spec: ClassSpec) -> Iterator[Permutation]:
     """Stream every member of the spec exactly once.
 
     Raises :class:`ClassTooLargeError` before yielding anything when the
-    covered classes hold more than ``cap`` members (default :func:`class_cap`).
+    covered classes hold more than :func:`class_cap` members.
 
     >>> sorted(str(p) for p in iter_class(ClassSpec.parse("3")))
     ['231', '312']
     """
-    _check_cap(spec, cap)
+    _check_cap(spec)
     want_cval = spec.cval
     for ct in spec.cycle_types():
         n = ct.n
@@ -419,7 +417,7 @@ def iter_class(spec: ClassSpec, cap: int | None = None) -> Iterator[Permutation]
 
 
 def joint_counts(
-    spec: ClassSpec, *, route: str = "factorize", cap: int | None = None
+    spec: ClassSpec, *, route: str = "factorize"
 ) -> dict[tuple[int, int], int]:
     """Map (cval, exc) -> number of members of the spec, as a fresh dict.
 
@@ -428,7 +426,7 @@ def joint_counts(
     the number of (cval, exc) pairs, not the class size.
     ``route="enumerate"`` visits every member; it is the brute-force
     oracle the closed forms are checked against, and the only route the
-    ``cap`` guardrail (default :func:`class_cap`) applies to.
+    :func:`class_cap` guardrail applies to.
 
     >>> spec = ClassSpec.parse("1,2,2")
     >>> sorted(joint_counts(spec).items())
@@ -436,18 +434,16 @@ def joint_counts(
     >>> joint_counts(spec) == joint_counts(spec, route="enumerate")
     True
     """
-    return _class_counts(spec, route, cap)
+    return _class_counts(spec, route)
 
 
-def dist_joint(
-    spec: ClassSpec, *, route: str = "factorize", cap: int | None = None
-) -> MultiPoly:
+def dist_joint(spec: ClassSpec, *, route: str = "factorize") -> MultiPoly:
     """Sum of s^cval t^exc over the members of the spec.
 
     >>> str(dist_joint(ClassSpec.parse("3")))
     's*t + s*t^2'
     """
-    return MultiPoly(_class_counts(spec, route, cap))
+    return MultiPoly(_class_counts(spec, route))
 
 
 def _marginal(counts: dict[tuple[int, int], int], index: int) -> MultiPoly:
@@ -458,23 +454,17 @@ def _marginal(counts: dict[tuple[int, int], int], index: int) -> MultiPoly:
     return MultiPoly(terms)
 
 
-def dist_exc(
-    spec: ClassSpec, *, route: str = "factorize", cap: int | None = None
-) -> MultiPoly:
+def dist_exc(spec: ClassSpec, *, route: str = "factorize") -> MultiPoly:
     """Sum of t^exc over the members of the spec."""
-    return _marginal(_class_counts(spec, route, cap), 1)
+    return _marginal(_class_counts(spec, route), 1)
 
 
-def dist_cval(
-    spec: ClassSpec, *, route: str = "factorize", cap: int | None = None
-) -> MultiPoly:
+def dist_cval(spec: ClassSpec, *, route: str = "factorize") -> MultiPoly:
     """Sum of t^cval over the members of the spec."""
-    return _marginal(_class_counts(spec, route, cap), 0)
+    return _marginal(_class_counts(spec, route), 0)
 
 
-def count_snki(
-    n: int, k: int, i: int, *, route: str = "factorize", cap: int | None = None
-) -> int:
+def count_snki(n: int, k: int, i: int, *, route: str = "factorize") -> int:
     """Number of permutations of length n with k fixed points and i cyclic
     valleys.
 
@@ -486,4 +476,4 @@ def count_snki(
     if i < 0 or i > (n - k) // 2:
         return 0
     spec = ClassSpec.with_fixed_points_and_valleys(n, k, i)
-    return sum(_class_counts(spec, route, cap).values())
+    return sum(_class_counts(spec, route).values())

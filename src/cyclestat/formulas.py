@@ -144,20 +144,6 @@ def _brenti_product(ct: CycleType, core: MultiPoly, x: MultiPoly) -> MultiPoly:
     return result * (factorial(ct.n) // denominator)
 
 
-def _series_class_poly(
-    result: TruncSeries, ct: CycleType, order: int, context: str
-) -> MultiPoly:
-    """The class polynomial a Brenti series stands for, residue-checked."""
-    if result.order <= ct.n:
-        # The extractions inside the substitutions cost orders, so a
-        # too-small request would bypass the residue check instead of
-        # tripping it.
-        raise ValueError(
-            f"truncation order {order} leaves no residue margin above degree {ct.n}"
-        )
-    return _require_integral(result.to_poly(ct.n), context)
-
-
 def brenti(ct: CycleType) -> MultiPoly:
     """Excedance distribution over the class of cycle type lambda:
     (n!/z_lambda) * prod over part sizes i of [A_(i-1)(t)/(i-1)!]^(m_i).
@@ -196,42 +182,43 @@ def _theorem1_substitutions(order: int) -> tuple[TruncSeries, TruncSeries]:
     return u, v
 
 
-def theorem1_joint(ct: CycleType, order: int | None = None) -> MultiPoly:
+def theorem1_joint(ct: CycleType) -> MultiPoly:
     """Joint (cval, exc) distribution over a conjugacy class, closed form.
 
     (n!/z_lambda) * ((1+u)/(1+uv))^(n - m_1) * prod [A_(i-1)(v)/(i-1)!]^(m_i)
-    evaluated in truncated series arithmetic and converted back to an
-    exact polynomial. Must equal ``dist_joint`` of the same class.
+    evaluated in series truncated at total degree n + 4 and converted back
+    to an exact polynomial. Dividing out s and t inside v leaves order
+    n + 2, so the conversion's residue check still sees the degrees above
+    n. Must equal ``dist_joint`` of the same class.
 
     >>> str(theorem1_joint(CycleType((3,))))
     's*t + s*t^2'
     """
-    order = ct.n + 4 if order is None else order
-    u, v = _theorem1_substitutions(order)
+    u, v = _theorem1_substitutions(ct.n + 4)
     result = _brenti_product(ct, (1 + u) / (1 + u * v), v)
-    return _series_class_poly(result, ct, order, "theorem1_joint")
+    return _require_integral(result.to_poly(ct.n), "theorem1_joint")
 
 
-def theorem6_cval(ct: CycleType, order: int | None = None) -> MultiPoly:
+def theorem6_cval(ct: CycleType) -> MultiPoly:
     """Cyclic-valley distribution over a conjugacy class, closed form.
 
     (n!/z_lambda) * (1 + sqrt(1-t))^(n - m_1) * prod [A_(i-1)(w)/(i-1)!]^(m_i)
-    with w = 2 t^-1 (1 - sqrt(1-t)) - 1, evaluated in truncated series.
-    Must equal ``dist_cval`` of the same class.
+    with w = 2 t^-1 (1 - sqrt(1-t)) - 1, evaluated in series truncated at
+    degree n + 4, as in :func:`theorem1_joint`. Must equal ``dist_cval``
+    of the same class.
 
     >>> str(theorem6_cval(CycleType((3,))))
     '2*t'
     """
-    order = ct.n + 4 if order is None else order
     # Evaluated at t = 4x, where sqrt(1 - 4x) and w are integral series
     # in x; the coefficient of x^k is then 4^k times that of t^k.
-    root = TruncSeries.from_poly(MultiPoly.one() - 4 * MultiPoly.t(), order).sqrt()
+    root = TruncSeries.from_poly(MultiPoly.one() - 4 * MultiPoly.t(), ct.n + 4).sqrt()
     w = (1 - root).extract_t_factor() / 2 - 1
     at_4x = _brenti_product(ct, 1 + root, w)
     result = TruncSeries(
         {(0, k): Fraction(c, 4**k) for (_, k), c in at_4x._terms.items()}, at_4x.order
     )
-    return _series_class_poly(result, ct, order, "theorem6_cval")
+    return _require_integral(result.to_poly(ct.n), "theorem6_cval")
 
 
 @lru_cache(maxsize=None)
@@ -273,9 +260,9 @@ def lemma1_check(sigma: Permutation) -> VerificationReport:
 
     checked with the orbit's members grouped by (cval, exc).
     """
-    members = orbit(sigma, collect_members=True).members
-    counts = Counter((c.cval, c.exc) for c in map(stat_counts, members))
-    m = sigma.n - stat_counts(sigma).fix
+    report = orbit(sigma, collect_members=True)
+    counts = Counter((c.cval, c.exc) for c in map(stat_counts, report.members))
+    m = sigma.n - report.fix
     return _cleared_identity("lemma1", {"sigma": list(sigma.word)}, counts, m)
 
 

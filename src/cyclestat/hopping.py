@@ -6,9 +6,10 @@ indexed by letters x in [n]:
 * ``phi`` acts on one-line words. Around each letter x the word factors
   uniquely as w1 w2 x w4 w5 where w2 (w4) is the maximal run of letters
   smaller than x immediately left (right) of x. When x is a double ascent
-  or double descent -- judged against virtual boundary letters at both
-  ends of the word -- the involution swaps w2 and w4, making x "hop" over
-  its smaller neighbours. Peaks and valleys are left alone.
+  or double descent -- judged as if a letter larger than every other
+  stood beyond each end of the word -- the involution swaps w2 and w4,
+  making x "hop" over its smaller neighbours. Peaks and valleys are left
+  alone.
 
 * ``psi`` is defined through the word obtained by erasing the parentheses
   of the canonical cycle form (``foata``): the letter hops there, with a
@@ -35,7 +36,6 @@ computes all of this by explicit enumeration, one relink per member.
 """
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -48,8 +48,6 @@ from .permutations import (
 )
 
 __all__ = [
-    "LOW_BOUNDARY",
-    "HIGH_BOUNDARY",
     "XFactorization",
     "x_factorize",
     "foata",
@@ -61,19 +59,14 @@ __all__ = [
     "orbit_exc_polynomial",
 ]
 
-# Virtual boundary letters: LOW compares below every letter, HIGH above.
-LOW_BOUNDARY: float = 0.0
-HIGH_BOUNDARY: float = math.inf
-
 
 @dataclass(frozen=True)
 class XFactorization:
     """The factorization w1 w2 x w4 w5 of a word around the letter x.
 
     w2 and w4 are the maximal runs of letters smaller than x immediately
-    adjacent to x. The boundaries are the virtual letters imagined just
-    outside the word; they decide how x is classified when it sits at an
-    end of the word.
+    adjacent to x. Past each end of the word stands a virtual letter
+    larger than every letter, so x at an end has a larger neighbour there.
     """
 
     w1: tuple[int, ...]
@@ -81,25 +74,15 @@ class XFactorization:
     x: int
     w4: tuple[int, ...]
     w5: tuple[int, ...]
-    left_boundary: float = HIGH_BOUNDARY
-    right_boundary: float = HIGH_BOUNDARY
 
     @property
     def left_is_smaller(self) -> bool:
-        """Is the (possibly virtual) letter immediately left of x below x?"""
-        if self.w2:
-            return True
-        if self.w1:
-            return False
-        return self.left_boundary < self.x
+        """Is the letter immediately left of x below x?"""
+        return bool(self.w2)
 
     @property
     def right_is_smaller(self) -> bool:
-        if self.w4:
-            return True
-        if self.w5:
-            return False
-        return self.right_boundary < self.x
+        return bool(self.w4)
 
     @property
     def kind(self) -> str:
@@ -122,13 +105,9 @@ class XFactorization:
         return self.w1 + self.w4 + (self.x,) + self.w2 + self.w5
 
 
-def x_factorize(
-    word: tuple[int, ...] | list[int],
-    x: int,
-    left_boundary: float = HIGH_BOUNDARY,
-    right_boundary: float = HIGH_BOUNDARY,
-) -> XFactorization:
-    """Factor ``word`` as w1 w2 x w4 w5 around the letter x.
+def x_factorize(word: tuple[int, ...] | list[int], x: int) -> XFactorization:
+    """Factor ``word`` as w1 w2 x w4 w5 around the letter x; past either
+    end of the word, x counts as having a larger neighbour.
 
     >>> f = x_factorize((8, 3, 4, 2, 7, 9, 1, 5, 6), 7)
     >>> f.w1, f.w2, f.w4, f.w5
@@ -151,14 +130,7 @@ def x_factorize(
         x=x,
         w4=word[pos + 1 : hi],
         w5=word[hi:],
-        left_boundary=left_boundary,
-        right_boundary=right_boundary,
     )
-
-
-def _hop(word: tuple[int, ...], x: int, left: float, right: float) -> tuple[int, ...]:
-    f = x_factorize(word, x, left, right)
-    return f.hopped() if f.hops else word
 
 
 def _erase_parentheses(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -211,7 +183,9 @@ def phi(p: Permutation, letters) -> Permutation:
     """
     word = p.word
     for x in _check_letters(letters, p.n):
-        word = _hop(word, x, HIGH_BOUNDARY, HIGH_BOUNDARY)
+        f = x_factorize(word, x)
+        if f.hops:
+            word = f.hopped()
     return Permutation(word)
 
 

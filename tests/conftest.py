@@ -71,31 +71,47 @@ def oracle_foata_word(word: tuple[int, ...]) -> list[int]:
     return [a for cycle in sorted(cycles) for a in cycle]
 
 
+def oracle_hop(w: list[int], x: int, low_left: bool) -> list[int]:
+    """Factor the word w as w1 w2 x w4 w5 (w2, w4 the maximal runs of
+    letters below x beside it) and swap w2 and w4 when x is a double
+    ascent or descent. A boundary letter stands past each end: a high one
+    on the right, and on the left a low one if ``low_left``, else high."""
+    pos = w.index(x)
+    lo = pos
+    while lo > 0 and w[lo - 1] < x:
+        lo -= 1
+    hi = pos + 1
+    while hi < len(w) and w[hi] < x:
+        hi += 1
+    left_smaller = lo < pos or (low_left and lo == 0)  # w2, or a low boundary
+    right_smaller = hi > pos + 1  # w4; otherwise a larger letter or the high boundary
+    if left_smaller != right_smaller:
+        w = w[:lo] + w[pos + 1 : hi] + [x] + w[lo:pos] + w[hi:]
+    return w
+
+
+def oracle_phi(word: tuple[int, ...], letters) -> tuple[int, ...]:
+    """The word-level hop: :func:`oracle_hop` for each letter in turn,
+    with high boundary letters at both ends."""
+    w = list(word)
+    for x in sorted(set(letters)):
+        w = oracle_hop(w, x, low_left=False)
+    return tuple(w)
+
+
 def oracle_psi(word: tuple[int, ...], letters) -> tuple[int, ...]:
     """The cycle-level hop, straight from its Foata-word definition.
 
-    Erase the parentheses; for each non-fixed letter x in turn, factor the
-    word as w1 w2 x w4 w5 (w2, w4 the maximal runs of letters below x
-    beside it) and swap w2 and w4 when x is a double ascent or descent,
-    judged with a low boundary letter on the left and a high one on the
-    right; then cut before each left-to-right maximum to get the cycles.
+    Erase the parentheses; hop each non-fixed letter x in turn with
+    :func:`oracle_hop`, judged with a low boundary letter on the left and
+    a high one on the right; then cut before each left-to-right maximum
+    to get the cycles.
     """
     n = len(word)
     w = oracle_foata_word(word)
     for x in sorted(set(letters)):
-        if word[x - 1] == x:
-            continue
-        pos = w.index(x)
-        lo = pos
-        while lo > 0 and w[lo - 1] < x:
-            lo -= 1
-        hi = pos + 1
-        while hi < n and w[hi] < x:
-            hi += 1
-        left_smaller = lo < pos or lo == 0  # w2, or the low boundary
-        right_smaller = hi > pos + 1  # w4; otherwise a larger letter or the high boundary
-        if left_smaller != right_smaller:
-            w = w[:lo] + w[pos + 1 : hi] + [x] + w[lo:pos] + w[hi:]
+        if word[x - 1] != x:
+            w = oracle_hop(w, x, low_left=True)
     image = [0] * n
     best = 0
     for i, a in enumerate(w):

@@ -199,6 +199,26 @@ class TestTruncSeries:
     def test_sqrt_of_one(self):
         assert TruncSeries.from_poly(ONE, 4).sqrt().to_poly(0) == ONE
 
+    @pytest.mark.parametrize(
+        "name, args",
+        [
+            ("zero", ()),
+            ("one", ()),
+            ("constant", (Fraction(1, 2),)),
+            ("s", ()),
+            ("t", ()),
+            ("monomial", (2, 3, -4)),
+        ],
+    )
+    def test_inherited_constructors_build_polynomials(self, name, args):
+        p = getattr(TruncSeries, name)(*args)
+        assert type(p) is MultiPoly
+        assert p == getattr(MultiPoly, name)(*args)
+        a = TruncSeries.from_poly(ONE + S * T, 3)
+        for total in (a + p, p + a):
+            assert isinstance(total, TruncSeries) and total.order == 3
+            assert total == TruncSeries.from_poly(ONE + S * T + p, 3)
+
     def test_sqrt_of_perfect_square(self):
         a = TruncSeries.from_poly((ONE + T) ** 2, 6)
         assert a.sqrt().to_poly(1) == ONE + T
@@ -273,7 +293,7 @@ class TestTruncSeries:
         for _ in range(25):
             p = ONE + random_poly(rng) * T
             a = TruncSeries.from_poly(p, 6)
-            assert a * a.inverse() == TruncSeries.constant(1, 6)
+            assert a * a.inverse() == TruncSeries.from_poly(ONE, 6)
 
 
 class TestSeriesKernels:

@@ -136,14 +136,15 @@ class TestIterClass:
                 ours = {m.word for m in iter_class(ClassSpec.of_cycle_type(ct))}
                 assert ours == by_type.get(ct.parts, set())
 
-    def test_guardrail(self):
+    def test_guardrail(self, monkeypatch):
         spec = ClassSpec.parse("1,5,5")
+        monkeypatch.setenv("CYCLESTAT_CLASS_CAP", "1000")
         with pytest.raises(ClassTooLargeError):
-            list(iter_class(spec, cap=1000))
+            list(iter_class(spec))
         with pytest.raises(ClassTooLargeError):
-            dist_exc(spec, route="enumerate", cap=1000)
+            dist_exc(spec, route="enumerate")
         # the factorized route visits no members, so the cap does not apply
-        assert dist_exc(spec, cap=1000).coefficient_sum() == 798336
+        assert dist_exc(spec).coefficient_sum() == 798336
 
     def test_guardrail_reads_the_environment(self, monkeypatch):
         spec = ClassSpec.parse("1,2,2")  # 15 members
@@ -153,8 +154,9 @@ class TestIterClass:
             list(iter_class(spec))
         with pytest.raises(ClassTooLargeError):
             joint_counts(spec, route="enumerate")
-        # an explicit cap wins over the environment
-        assert len(list(iter_class(spec, cap=15))) == 15
+        # a cap equal to the class size admits the class
+        monkeypatch.setenv("CYCLESTAT_CLASS_CAP", "15")
+        assert len(list(iter_class(spec))) == 15
         monkeypatch.setenv("CYCLESTAT_CLASS_CAP", "")
         assert class_cap() == DEFAULT_CLASS_CAP
         monkeypatch.setenv("CYCLESTAT_CLASS_CAP", "abc")

@@ -72,10 +72,6 @@ class TestTheorem1:
                 spec = ClassSpec.of_cycle_type(ct)
                 assert theorem1_joint(ct) == dist_joint(spec, route="enumerate")
 
-    def test_order_guard(self):
-        with pytest.raises(ValueError, match="margin"):
-            theorem1_joint(CycleType((3,)), order=3)
-
     def test_headline_class(self):
         ct = CycleType((1, 5, 5))
         poly = theorem1_joint(ct)

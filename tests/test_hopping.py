@@ -9,8 +9,6 @@ import cyclestat
 from cyclestat import hopping
 from cyclestat.algebra import MultiPoly
 from cyclestat.hopping import (
-    HIGH_BOUNDARY,
-    LOW_BOUNDARY,
     foata,
     foata_inverse,
     orbit,
@@ -30,7 +28,7 @@ from cyclestat.permutations import (
     to_cycle_form,
 )
 
-from conftest import all_perms, oracle_psi
+from conftest import all_perms, oracle_phi, oracle_psi
 
 
 def all_subsets(letters):
@@ -60,10 +58,12 @@ class TestXFactorization:
         assert f.kind == "valley"  # high boundaries on both sides
 
     def test_low_left_boundary_changes_kind(self):
-        f = x_factorize((2, 1), 2, left_boundary=LOW_BOUNDARY)
-        assert f.kind == "peak"
-        f = x_factorize((2, 1), 2, left_boundary=HIGH_BOUNDARY)
+        # the boundaries are fixed high: past either end of the word x has
+        # a larger neighbour, so at an end it is never a peak
+        f = x_factorize((2, 1), 2)
+        assert not f.left_is_smaller and f.right_is_smaller
         assert f.kind == "double_descent"
+        assert x_factorize((1, 2), 2).kind == "double_ascent"
 
     def test_missing_letter(self):
         with pytest.raises(ValueError, match="does not occur"):
@@ -296,6 +296,21 @@ class TestPsiOracle:
                 assert psi(p, {x}).word == oracle_psi(p.word, {x})
 
 
+class TestPhiOracle:
+    """The word-level hop against its definition, high boundaries at both ends."""
+
+    def test_every_subset_up_to_five(self):
+        for n in range(0, 6):
+            for p in all_perms(n):
+                for letters in all_subsets(range(1, n + 1)):
+                    assert phi(p, letters).word == oracle_phi(p.word, letters)
+
+    def test_every_singleton_on_six(self):
+        for p in all_perms(6):
+            for x in range(1, 7):
+                assert phi(p, {x}).word == oracle_phi(p.word, {x})
+
+
 PROPERTY_SETTINGS = settings(
     max_examples=60, deadline=None, derandomize=True, database=None
 )
@@ -309,6 +324,14 @@ def perms_with_letters(draw):
     letters = draw(st.sets(st.integers(1, n)))
     x, y = draw(st.integers(1, n)), draw(st.integers(1, n))
     return p, letters, x, y
+
+
+@st.composite
+def words_with_letters(draw):
+    """A permutation of [n], 7 <= n <= 12, with a letter set."""
+    n = draw(st.integers(7, 12))
+    p = Permutation(tuple(draw(st.permutations(range(1, n + 1)))))
+    return p, draw(st.sets(st.integers(1, n)))
 
 
 @st.composite
@@ -336,6 +359,12 @@ def large_orbit_perms(draw):
 
 
 class TestHoppingProperties:
+    @PROPERTY_SETTINGS
+    @given(words_with_letters())
+    def test_phi_matches_oracle(self, case):
+        p, letters = case
+        assert phi(p, letters).word == oracle_phi(p.word, letters)
+
     @PROPERTY_SETTINGS
     @given(perms_with_letters())
     def test_psi_matches_oracle(self, case):
