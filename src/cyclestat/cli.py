@@ -20,11 +20,12 @@ floats) and deterministically ordered, so identical invocations produce
 byte-identical output. The guardrail applies only to enumeration, so
 ``dist`` never trips it while ``verify`` and ``table gamma`` honour it: at
 most 10^8 class members, or ``CYCLESTAT_CLASS_CAP`` when that is set.
+The same cap bounds the orbit that ``orbit`` walks.
 
 Exit codes: 0 success / all checks passed; 1 at least one check failed;
 2 usage or parse error, a bad ``CYCLESTAT_CLASS_CAP`` (for any command),
 a claim with no instances or a table with no rows in the requested range;
-3 enumeration guardrail tripped.
+3 enumeration guardrail tripped (a class or an orbit above the cap).
 """
 from __future__ import annotations
 

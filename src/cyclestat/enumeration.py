@@ -165,7 +165,10 @@ class ClassSpec:
             fields = {}
             for chunk in text.split(","):
                 key, _, value = chunk.partition("=")
-                fields[key.strip()] = int(value)
+                key = key.strip()
+                if key in fields:
+                    raise ValueError(f"repeated key {key!r} in {text!r}")
+                fields[key] = int(value)
             unknown = set(fields) - {"n", "k", "i"}
             if unknown or "n" not in fields or "k" not in fields:
                 raise ValueError(f"expected n=..,k=..[,i=..], got {text!r}")

@@ -241,13 +241,14 @@ def _cleared_identity(
     claim: str, instance: dict, counts: dict[tuple[int, int], int], m: int
 ) -> VerificationReport:
     """The identity of :func:`lemma1_check` over members counted by
-    (cval, exc): each profile's memoized terms, scaled and added."""
-    lhs = rhs = MultiPoly.zero()
-    for (cval, exc), mult in sorted(counts.items()):
-        left, right = _profile_terms(m, cval, exc)
-        lhs = lhs + left * mult
-        rhs = rhs + right * mult
-    return VerificationReport(claim, instance, lhs=lhs, rhs=rhs)
+    (cval, exc): each profile's memoized terms, scaled and added into one
+    term dict per side."""
+    lhs, rhs = {}, {}
+    for (cval, exc), mult in counts.items():
+        for acc, term in zip((lhs, rhs), _profile_terms(m, cval, exc)):
+            for key, value in term._terms.items():
+                acc[key] = acc.get(key, 0) + value * mult
+    return VerificationReport(claim, instance, lhs=MultiPoly(lhs), rhs=MultiPoly(rhs))
 
 
 def lemma1_check(sigma: Permutation) -> VerificationReport:

@@ -39,6 +39,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+from .enumeration import ClassTooLargeError, class_cap
 from .permutations import (
     Permutation,
     left_to_right_maxima,
@@ -133,29 +134,13 @@ def x_factorize(word: tuple[int, ...] | list[int], x: int) -> XFactorization:
     )
 
 
-def _erase_parentheses(word: tuple[int, ...]) -> tuple[int, ...]:
-    """The canonical cycle form of a one-line word, parentheses erased."""
-    return tuple(a for cycle in _cycles_of_word(word) for a in cycle)
-
-
-def _cut_at_maxima(word: tuple[int, ...]) -> tuple[int, ...]:
-    """The one-line word whose cycles are ``word`` cut before each
-    left-to-right maximum; inverse of :func:`_erase_parentheses`."""
-    cuts = sorted(left_to_right_maxima(word))
-    cycles = [
-        word[start - 1 : (cuts[j + 1] - 1 if j + 1 < len(cuts) else len(word))]
-        for j, start in enumerate(cuts)
-    ]
-    return _word_from_cycles(cycles, len(word))
-
-
 def foata(p: Permutation) -> Permutation:
     """Erase the parentheses of the canonical cycle form.
 
     >>> str(foata(Permutation((6, 4, 9, 2, 3, 7, 1, 8, 5))))
     '427168953'
     """
-    return Permutation(_erase_parentheses(p.word))
+    return Permutation(tuple(a for cycle in _cycles_of_word(p.word) for a in cycle))
 
 
 def foata_inverse(p: Permutation) -> Permutation:
@@ -163,7 +148,10 @@ def foata_inverse(p: Permutation) -> Permutation:
 
     Inverse of :func:`foata`: ``foata_inverse(foata(p)) == p``.
     """
-    return Permutation(_cut_at_maxima(p.word))
+    word = p.word
+    cuts = sorted(left_to_right_maxima(word)) + [len(word) + 1]
+    cycles = [word[start - 1 : end - 1] for start, end in zip(cuts, cuts[1:])]
+    return Permutation(_word_from_cycles(cycles, len(word)))
 
 
 def _check_letters(letters, n: int) -> list[int]:
@@ -263,7 +251,9 @@ def orbit(p: Permutation, collect_members: bool = False) -> OrbitReport:
     orbit is generated by toggling subsets of those letters; the walk
     below flips one letter at a time (Gray order), relinking one letter of
     one pair of flat lists in place per member. ``size`` counts the
-    distinct members the walk meets.
+    distinct members the walk meets. An orbit of more than ``class_cap()``
+    members raises :class:`~cyclestat.enumeration.ClassTooLargeError`
+    before the walk starts.
 
     >>> rep = orbit(Permutation((2, 3, 1)), collect_members=True)
     >>> rep.size, [str(m) for m in rep.members]
@@ -271,9 +261,14 @@ def orbit(p: Permutation, collect_members: bool = False) -> OrbitReport:
     """
     sets = stat_sets(p)
     toggles = sorted(sets.cdasc_set | sets.cddes_set)
+    walk, cap = 1 << len(toggles), class_cap()
+    if walk > cap:
+        raise ClassTooLargeError(
+            f"the orbit of {p} has {walk} members, above the cap of {cap}"
+        )
     nxt, prv = _links(p.word)
     words = {p.word}
-    for step in range(1, 1 << len(toggles)):
+    for step in range(1, walk):
         bit = (step & -step).bit_length() - 1
         _relink(nxt, prv, toggles[bit])
         words.add(tuple(nxt[1:]))

@@ -199,8 +199,11 @@ class CycleType:
 
     @classmethod
     def from_text(cls, text: str) -> "CycleType":
-        """Parse "1,5,5" (comma list) or "1^1 5^2" (multiplicity form)."""
+        """Parse "1,5,5" (comma list), "1^1 5^2" (multiplicity form), or
+        either in one enclosing pair of parentheses, as ``str`` prints it."""
         text = text.strip()
+        if len(text) > 1 and text[0] + text[-1] == "()":
+            text = text[1:-1].strip()
         if not text:
             return cls(())
         if "^" in text:

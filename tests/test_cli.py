@@ -63,6 +63,17 @@ class TestOrbit:
         code, out, _ = run(capsys, "orbit", "(5,2,1)(6)(8)(11,9,10,4,3,7)")
         assert json.loads(out)["size"] == 8
 
+    def test_orbit_above_class_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("CYCLESTAT_CLASS_CAP", "4")
+        code, out, err = run(capsys, "orbit", "(5,2,1)(6)(8)(11,9,10,4,3,7)")
+        assert code == EXIT_TOO_LARGE
+        assert not out and err.startswith("class too large:")
+
+    def test_orbit_at_class_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("CYCLESTAT_CLASS_CAP", "8")
+        code, out, _ = run(capsys, "orbit", "(5,2,1)(6)(8)(11,9,10,4,3,7)")
+        assert code == EXIT_OK and json.loads(out)["size"] == 8
+
 
 class TestDist:
     def test_joint_small(self, capsys):
@@ -85,12 +96,21 @@ class TestDist:
         code, _, err = run(capsys, "dist", "n=3,q=1")
         assert code == EXIT_USAGE and "error" in err
 
-    @pytest.mark.parametrize("spec", ["1^1 5^-1", "5^-1"])
-    def test_negative_multiplicity_is_a_usage_error(self, capsys, spec):
+    @pytest.mark.parametrize(
+        "spec", ["1^1 5^-1", "5^-1", "n=5,k=2,k=3", "n=5,n=6,k=1", "(1,2)(3)"]
+    )
+    def test_malformed_spec_is_a_usage_error(self, capsys, spec):
         code, out, err = run(capsys, "dist", spec)
         assert code == EXIT_USAGE
         assert not out
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_partition_as_printed(self, capsys):
+        # str(CycleType) and `table gamma` print partitions in parentheses
+        code, out, _ = run(capsys, "dist", "(1,5,5)")
+        assert code == EXIT_OK and out == run(capsys, "dist", "1,5,5")[1]
+        code, out, _ = run(capsys, "dist", "()", "--stat", "exc")
+        assert code == EXIT_OK and out.strip() == "1"
 
     def test_dist_ignores_class_cap(self, capsys, monkeypatch):
         # dist factorizes and visits no members

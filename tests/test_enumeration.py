@@ -92,6 +92,11 @@ class TestClassSpec:
         with pytest.raises(ValueError):
             ClassSpec.parse("k=2")
 
+    @pytest.mark.parametrize("text, key", [("n=5,k=2,k=3", "k"), ("n=5,n=6,k=1", "n")])
+    def test_parse_rejects_repeated_keys(self, text, key):
+        with pytest.raises(ValueError, match=f"repeated key '{key}'"):
+            ClassSpec.parse(text)
+
     def test_range_validation(self):
         with pytest.raises(ValueError):
             ClassSpec.with_fixed_points(3, 4)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import cyclestat
 from cyclestat import hopping
 from cyclestat.algebra import MultiPoly
+from cyclestat.enumeration import ClassTooLargeError
 from cyclestat.hopping import (
     foata,
     foata_inverse,
@@ -254,6 +255,28 @@ class TestOrbit:
             assert s.cpk_set == base.cpk_set
             assert s.fix_set == base.fix_set
             assert cycle_type(m) == cycle_type(p)
+
+
+class TestOrbitCap:
+    """The member cap bounds the orbit walk, which must not start when the
+    orbit would exceed it."""
+
+    @staticmethod
+    def refuse_relink(nxt, prv, x):
+        raise AssertionError("the walk started")
+
+    def test_orbit_above_cap_raises_before_the_walk(self, monkeypatch):
+        monkeypatch.setenv("CYCLESTAT_CLASS_CAP", "4")
+        monkeypatch.setattr(hopping, "_relink", self.refuse_relink)
+        with pytest.raises(ClassTooLargeError, match="8 members"):
+            orbit(parse_permutation("(5,2,1)(6)(8)(11,9,10,4,3,7)"))
+
+    def test_long_cycle_under_default_cap(self, monkeypatch):
+        # 2,3,...,40,1 has 38 cyclic double ascents: 2^38 members
+        monkeypatch.delenv("CYCLESTAT_CLASS_CAP", raising=False)
+        monkeypatch.setattr(hopping, "_relink", self.refuse_relink)
+        with pytest.raises(ClassTooLargeError, match=str(2**38)):
+            orbit(Permutation((*range(2, 41), 1)))
 
 
 class TestOrbitExcPolynomial:

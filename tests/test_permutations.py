@@ -1,10 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cyclestat.enumeration import ClassSpec
 from cyclestat.permutations import (
     CycleForm,
     CycleType,
+    Permutation,
     cycle_type,
     des,
     from_cycle_form,
@@ -240,3 +244,56 @@ class TestParsing:
             parse_permutation("(1,2")
         with pytest.raises(ValueError):
             parse_permutation("(1,2)junk(3)")
+
+
+# Every printed form parses back to the value that printed it.
+PROPERTY_SETTINGS = settings(
+    max_examples=60, deadline=None, derandomize=True, database=None
+)
+perms = st.integers(1, 12).flatmap(
+    lambda n: st.permutations(range(1, n + 1)).map(lambda w: Permutation(tuple(w)))
+)
+cycle_types = st.lists(st.integers(1, 6), max_size=6).map(
+    lambda parts: CycleType(tuple(parts))
+)
+
+
+@st.composite
+def class_specs(draw):
+    """A conjugacy class, a stratum (n, k) or a cell (n, k, i)."""
+    shape = draw(st.sampled_from(["class", "stratum", "cell"]))
+    if shape == "class":
+        return ClassSpec.of_cycle_type(draw(cycle_types))
+    n = draw(st.integers(0, 12))
+    k = draw(st.integers(0, n))
+    if shape == "stratum":
+        return ClassSpec.with_fixed_points(n, k)
+    return ClassSpec.with_fixed_points_and_valleys(
+        n, k, draw(st.integers(0, (n - k) // 2))
+    )
+
+
+class TestTextRoundTrips:
+    @PROPERTY_SETTINGS
+    @given(perms)
+    def test_permutation(self, p):
+        # compact digits for n <= 9, commas above
+        assert parse_permutation(str(p)) == p
+
+    @PROPERTY_SETTINGS
+    @given(perms)
+    def test_cycle_form(self, p):
+        assert parse_permutation(str(to_cycle_form(p))) == p
+
+    @PROPERTY_SETTINGS
+    @given(cycle_types)
+    def test_cycle_type_in_both_syntaxes(self, ct):
+        power_form = " ".join(f"{i}^{m}" for i, m in sorted(ct.multiplicities.items()))
+        comma_form = ",".join(map(str, ct.parts))
+        assert CycleType.from_text(str(ct)) == ct
+        assert CycleType.from_text(power_form) == CycleType.from_text(comma_form) == ct
+
+    @PROPERTY_SETTINGS
+    @given(class_specs())
+    def test_class_spec(self, spec):
+        assert ClassSpec.parse(str(spec)) == spec

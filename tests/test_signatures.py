@@ -1,8 +1,13 @@
-"""The call surface of the functions that once took a member cap, a
-truncation order or word boundaries: their parameter names are pinned, so
-a removed option cannot come back unnoticed."""
+"""The public surface. The call surface of the functions that once took a
+member cap, a truncation order or word boundaries: their parameter names
+are pinned, so a removed option cannot come back unnoticed. The package
+exports exactly the names its modules list in ``__all__``."""
 import inspect
 
+import pytest
+
+import cyclestat
+from cyclestat import algebra, enumeration, formulas, hopping, permutations
 from cyclestat.enumeration import (
     count_snki,
     dist_cval,
@@ -31,3 +36,24 @@ PARAMETERS = {
 def test_call_surface():
     found = {f.__name__: list(inspect.signature(f).parameters) for f in PARAMETERS}
     assert found == {f.__name__: names for f, names in PARAMETERS.items()}
+
+
+MODULES = (permutations, hopping, enumeration, algebra, formulas)
+EXPORTS = [(module, name) for module in MODULES for name in module.__all__]
+
+
+def test_package_exports_the_module_lists():
+    assert len(cyclestat.__all__) == len(set(cyclestat.__all__))
+    assert set(cyclestat.__all__) == {"__version__"} | {name for _, name in EXPORTS}
+
+
+@pytest.mark.parametrize(
+    "module, name", EXPORTS, ids=[f"{m.__name__}.{name}" for m, name in EXPORTS]
+)
+def test_exported_name_is_defined_in_its_module(module, name):
+    assert not name.startswith("_")
+    assert name in vars(module)
+    value = vars(module)[name]
+    if inspect.isfunction(value) or inspect.isclass(value):
+        assert value.__module__ == module.__name__
+    assert getattr(cyclestat, name) is value
