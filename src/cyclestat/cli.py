@@ -6,12 +6,13 @@ Subcommands:
 * ``orbit``  -- its hopping orbit: size, representative, optionally members.
 * ``dist``   -- a distribution polynomial over a class/stratum, by the
   factorized route (a product of single-cycle distributions).
-* ``verify`` -- run a named identity check over a parameter range,
-  always against the enumeration route; one JSON line per instance, exit
-  status 0 iff at least one instance of each claim was checked and
-  everything passed. A failing record carries the first differing
-  coefficient as its witness; for ``egf`` the monomial's s and t
-  exponents are the fixed-point and cyclic-valley counts.
+* ``verify`` -- print the reports that ``formulas.claim_reports`` yields
+  for one claim of ``formulas.CLAIMS`` (or ``all``); that function fixes
+  each claim's instances and checks them against the enumeration route.
+  One JSON line per instance; exit status 0 iff at least one instance of
+  each claim was checked and everything passed. A failing record carries
+  the first differing coefficient as its witness; for ``egf`` the
+  monomial's s and t exponents are the fixed-point and cyclic-valley counts.
 * ``table``  -- machine-readable tables (counts, gamma coefficients,
   Eulerian coefficients) as CSV or JSON lines.
 
@@ -33,33 +34,17 @@ import argparse
 import json
 import sys
 
-from .algebra import GammaExpansionError, MultiPoly, eulerian
+from .algebra import eulerian
 from .enumeration import (
     ClassSpec,
     ClassTooLargeError,
     class_cap,
-    count_snki,
     dist_cval,
     dist_exc,
     dist_joint,
-    iter_class,
     partitions_of,
 )
-from .formulas import (
-    VerificationReport,
-    brenti,
-    corollary2_check,
-    corollary3_check,
-    corollary4_check,
-    egf_snki,
-    lemma1_check,
-    theorem1_joint,
-    theorem2_check,
-    theorem2_gamma,
-    theorem4_check,
-    theorem5_check,
-    theorem6_cval,
-)
+from .formulas import CLAIMS, claim_reports, egf_snki, theorem2_gamma
 from .hopping import orbit
 from .permutations import (
     CycleType,
@@ -67,7 +52,6 @@ from .permutations import (
     des,
     parse_permutation,
     stat_counts,
-    stat_sets,
     to_cycle_form,
 )
 
@@ -75,22 +59,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_TOO_LARGE = 3
-
-VERIFY_CLAIMS = (
-    "brenti",
-    "theorem1",
-    "lemma1",
-    "theorem2",
-    "theorem4",
-    "theorem5",
-    "theorem6",
-    "cor2",
-    "cor3",
-    "cor4",
-    "egf",
-    "all",
-)
-
 
 def _print_json(record: dict) -> None:
     print(json.dumps(record, sort_keys=True))
@@ -151,74 +119,6 @@ def cmd_dist(args) -> int:
     return EXIT_OK
 
 
-def _verify_instances(claim: str, n_max: int, lambdas: list[CycleType]):
-    """Yield one VerificationReport per checked instance of the claim."""
-    specs = [ClassSpec.of_cycle_type(ct) for ct in lambdas]
-    strata = [(n, k) for n in range(1, n_max + 1) for k in range(n + 1)]
-    if claim in ("brenti", "theorem1", "theorem6"):
-        closed_form, enumerated = {
-            "brenti": (brenti, dist_exc),
-            "theorem1": (theorem1_joint, dist_joint),
-            "theorem6": (theorem6_cval, dist_cval),
-        }[claim]
-        for spec in specs:
-            lhs = closed_form(spec.cycle_type)
-            rhs = enumerated(spec, route="enumerate")
-            yield VerificationReport(claim, spec.instance(), lhs=lhs, rhs=rhs)
-    elif claim == "cor2":
-        # A residual against zero: an s-coefficient's asymmetric part, else
-        # each gamma_j of s^i that is negative or fractional, at s^i t^j.
-        for spec in specs:
-            try:
-                expansions = corollary2_check(spec.cycle_type)
-            except GammaExpansionError as err:
-                residual = err.residual
-            else:
-                residual = MultiPoly(
-                    {
-                        (i, j): g
-                        for i, expansion in enumerate(expansions)
-                        for j, g in enumerate(expansion.gammas)
-                        if g < 0 or g.denominator != 1
-                    }
-                )
-            yield VerificationReport("cor2", spec.instance(), residual, MultiPoly())
-    elif claim == "lemma1":
-        for n in range(1, n_max + 1):
-            for ct in partitions_of(n):
-                for p in iter_class(ClassSpec.of_cycle_type(ct)):
-                    if stat_sets(p).cdasc_set:
-                        continue  # one representative per orbit
-                    yield lemma1_check(p)
-    elif claim in ("theorem2", "theorem4", "theorem5"):
-        check = {
-            "theorem2": theorem2_check,
-            "theorem4": theorem4_check,
-            "theorem5": theorem5_check,
-        }[claim]
-        yield from map(check, specs)
-        for n, k in strata:
-            yield check(ClassSpec.with_fixed_points(n, k))
-    elif claim == "cor3":
-        for n, k in strata:
-            yield corollary3_check(n, k)
-    elif claim == "cor4":
-        for n, k in strata:
-            for i in range(0, (n - k) // 2 + 1):
-                yield corollary4_check(n, k, i)
-    elif claim == "egf":
-        if n_max < 1:
-            return
-        table = egf_snki(n_max)
-        for n in range(1, n_max + 1):
-            cells = [(k, i) for k in range(n + 1) for i in range((n - k) // 2 + 1)]
-            lhs = {(k, i): table.get((n, k, i), 0) for k, i in cells}
-            rhs = {(k, i): count_snki(n, k, i, route="enumerate") for k, i in cells}
-            yield VerificationReport("egf", {"n": n}, MultiPoly(lhs), MultiPoly(rhs))
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown claim {claim!r}")
-
-
 def cmd_verify(args) -> int:
     if args.lam:
         try:
@@ -230,16 +130,15 @@ def cmd_verify(args) -> int:
     else:
         n_max = args.n_max
         lambdas = [ct for n in range(0, n_max + 1) for ct in partitions_of(n)]
-    claims = list(VERIFY_CLAIMS[:-1]) if args.claim == "all" else [args.claim]
+    claims = CLAIMS if args.claim == "all" else [args.claim]
     failures = 0
     unchecked = []
     for claim in claims:
         checked = 0
-        for report in _verify_instances(claim, n_max, lambdas):
-            record = report.to_json_record()
+        for report in claim_reports(claim, n_max, lambdas):
             checked += 1
-            failures += record["verdict"] != "pass"
-            _print_json(record)
+            failures += not report.passed
+            _print_json(report.to_json_record())
         if not checked:
             unchecked.append(claim)
     if unchecked:
@@ -330,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.set_defaults(func=cmd_dist)
 
     p_verify = sub.add_parser("verify", help="check identities over a range")
-    p_verify.add_argument("claim", choices=VERIFY_CLAIMS)
+    p_verify.add_argument("claim", choices=(*CLAIMS, "all"))
     p_verify.add_argument("--n-max", type=int, default=5, dest="n_max")
     p_verify.add_argument("--lambda", dest="lam", default=None, help="single partition")
     p_verify.set_defaults(func=cmd_verify)

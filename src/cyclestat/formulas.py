@@ -35,8 +35,9 @@ differ only in the pair (core, x): (1, t) for ``brenti``,
   valleys) extracted from an exponential generating function, computed
   radical-free as a truncated series in x over exact polynomials.
 
-Claim identifiers ("brenti", "theorem1", "cor3", ...) are the stable
-vocabulary used by reports and the command-line ``verify`` subcommand.
+Claim identifiers (``CLAIMS``: "brenti", "theorem1", "cor3", ...) are the
+stable vocabulary of reports and of the command-line ``verify``
+subcommand; ``claim_reports`` yields each claim's reports over its range.
 """
 from __future__ import annotations
 
@@ -61,10 +62,12 @@ from .enumeration import (
     dist_cval,
     dist_exc,
     dist_joint,
+    iter_class,
     joint_counts,
+    partitions_of,
 )
 from .hopping import orbit
-from .permutations import CycleType, Permutation, stat_counts
+from .permutations import CycleType, Permutation, stat_counts, stat_sets
 
 __all__ = [
     "VerificationReport",
@@ -81,6 +84,8 @@ __all__ = [
     "theorem4_check",
     "theorem5_check",
     "egf_snki",
+    "CLAIMS",
+    "claim_reports",
 ]
 
 
@@ -383,49 +388,56 @@ def theorem2_check(spec: ClassSpec) -> VerificationReport:
     )
 
 
-def corollary2_check(ct: CycleType) -> list[GammaExpansion]:
+def corollary2_check(ct: CycleType) -> VerificationReport:
     """Gamma-expand every s-coefficient of the joint distribution.
 
     The coefficient of s^i is the excedance distribution over the class
     members with i cyclic valleys, so each expands about (n-k)/2 with
-    nonnegative integer gamma values. Raises GammaExpansionError if any
-    coefficient is asymmetric (which would falsify the claim).
+    nonnegative integer gamma values. The report compares with zero the
+    first asymmetric coefficient's residual, put back at s^i, or else each
+    gamma_j of s^i that is negative or fractional, at s^i t^j.
     """
-    joint = dist_joint(ClassSpec.of_cycle_type(ct), route="enumerate")
+    spec = ClassSpec.of_cycle_type(ct)
+    joint = dist_joint(spec, route="enumerate")
     m = ct.n - ct.fixed_point_count
-    expansions = []
+    bad = {}
     for i in range(joint.s_degree() + 1):
         try:
-            expansions.append(gamma_expand(joint.coefficient_of_s(i), m))
+            gammas = gamma_expand(joint.coefficient_of_s(i), m).gammas
         except GammaExpansionError as err:
             # The residual is in t alone; put it back at s^i.
             residual = err.residual * MultiPoly.monomial(i, 0)
-            raise GammaExpansionError(f"coefficient of s^{i}: {err}", residual) from err
-    return expansions
+            return VerificationReport("cor2", spec.instance(), residual, MultiPoly())
+        for j, g in enumerate(gammas):
+            if g < 0 or g.denominator != 1:
+                bad[(i, j)] = g
+    return VerificationReport("cor2", spec.instance(), MultiPoly(bad), MultiPoly())
 
 
 def corollary3_check(n: int, k: int) -> VerificationReport:
     """Excedance distribution over the k-fixed-point stratum against
     sum_i count(n,k,i)/2^(n-k-2i) * t^i (1+t)^(n-k-2i)."""
-    lhs = dist_exc(ClassSpec.with_fixed_points(n, k), route="enumerate")
+    spec = ClassSpec.with_fixed_points(n, k)
+    lhs = dist_exc(spec, route="enumerate")
     gammas = tuple(
         Fraction(count_snki(n, k, i, route="enumerate"), 2 ** (n - k - 2 * i))
         for i in range((n - k) // 2 + 1)
     )
     rhs = GammaExpansion(n - k, gammas).reconstruct()
     return VerificationReport(
-        claim="cor3", instance={"n": n, "k": k}, lhs=lhs, rhs=rhs
+        claim="cor3", instance=spec.instance(), lhs=lhs, rhs=rhs
     )
 
 
 def corollary4_check(n: int, k: int, i: int) -> VerificationReport:
     """Excedance distribution over a single (fixed points, valleys) cell
     against count/2^(n-k-2i) * t^i (1+t)^(n-k-2i)."""
-    lhs = dist_exc(ClassSpec.with_fixed_points_and_valleys(n, k, i), route="enumerate")
+    spec = ClassSpec.with_fixed_points_and_valleys(n, k, i)
+    lhs = dist_exc(spec, route="enumerate")
     weight = Fraction(count_snki(n, k, i, route="enumerate"), 2 ** (n - k - 2 * i))
     rhs = GammaExpansion(n - k, (Fraction(0),) * i + (weight,)).reconstruct()
     return VerificationReport(
-        claim="cor4", instance={"n": n, "k": k, "i": i}, lhs=lhs, rhs=rhs
+        claim="cor4", instance=spec.instance(), lhs=lhs, rhs=rhs
     )
 
 
@@ -486,3 +498,73 @@ def egf_snki(n_max: int) -> dict[tuple[int, int, int], int]:
                 raise ArithmeticError(f"negative count at n={n}, k={k}, i={i}")
             table[(n, k, i)] = value
     return table
+
+
+CLAIMS = (
+    "brenti",
+    "theorem1",
+    "lemma1",
+    "theorem2",
+    "theorem4",
+    "theorem5",
+    "theorem6",
+    "cor2",
+    "cor3",
+    "cor4",
+    "egf",
+)
+
+
+def claim_reports(claim: str, n_max: int, lambdas: list[CycleType]):
+    """Yield one VerificationReport per checked instance of the claim: per
+    class of ``lambdas``, per (n, k) stratum or (n, k, i) cell, per orbit
+    or per n, with 1 <= n <= n_max. Raises ValueError for an unknown claim.
+    """
+    specs = [ClassSpec.of_cycle_type(ct) for ct in lambdas]
+    strata = [(n, k) for n in range(1, n_max + 1) for k in range(n + 1)]
+    if claim in ("brenti", "theorem1", "theorem6"):
+        closed_form, enumerated = {
+            "brenti": (brenti, dist_exc),
+            "theorem1": (theorem1_joint, dist_joint),
+            "theorem6": (theorem6_cval, dist_cval),
+        }[claim]
+        for spec in specs:
+            lhs = closed_form(spec.cycle_type)
+            rhs = enumerated(spec, route="enumerate")
+            yield VerificationReport(claim, spec.instance(), lhs=lhs, rhs=rhs)
+    elif claim == "cor2":
+        yield from map(corollary2_check, lambdas)
+    elif claim == "lemma1":
+        for n in range(1, n_max + 1):
+            for ct in partitions_of(n):
+                for p in iter_class(ClassSpec.of_cycle_type(ct)):
+                    if stat_sets(p).cdasc_set:
+                        continue  # one representative per orbit
+                    yield lemma1_check(p)
+    elif claim in ("theorem2", "theorem4", "theorem5"):
+        check = {
+            "theorem2": theorem2_check,
+            "theorem4": theorem4_check,
+            "theorem5": theorem5_check,
+        }[claim]
+        yield from map(check, specs)
+        for n, k in strata:
+            yield check(ClassSpec.with_fixed_points(n, k))
+    elif claim == "cor3":
+        for n, k in strata:
+            yield corollary3_check(n, k)
+    elif claim == "cor4":
+        for n, k in strata:
+            for i in range(0, (n - k) // 2 + 1):
+                yield corollary4_check(n, k, i)
+    elif claim == "egf":
+        if n_max < 1:
+            return
+        table = egf_snki(n_max)
+        for n in range(1, n_max + 1):
+            cells = [(k, i) for k in range(n + 1) for i in range((n - k) // 2 + 1)]
+            lhs = {(k, i): table.get((n, k, i), 0) for k, i in cells}
+            rhs = {(k, i): count_snki(n, k, i, route="enumerate") for k, i in cells}
+            yield VerificationReport("egf", {"n": n}, MultiPoly(lhs), MultiPoly(rhs))
+    else:
+        raise ValueError(f"unknown claim {claim!r}")

@@ -39,6 +39,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+from .algebra import MultiPoly
 from .enumeration import ClassTooLargeError, class_cap
 from .permutations import (
     Permutation,
@@ -283,13 +284,8 @@ def orbit(p: Permutation, collect_members: bool = False) -> OrbitReport:
     )
 
 
-def orbit_exc_polynomial(p: Permutation):
-    """Sum of t^exc over the orbit of p; equals t^cval (1+t)^(n-fix-2 cval).
-
-    Returned as an exact polynomial in t (a :class:`~cyclestat.algebra.MultiPoly`).
-    """
-    from .algebra import MultiPoly
-
+def orbit_exc_polynomial(p: Permutation) -> MultiPoly:
+    """Sum of t^exc over the orbit of p; equals t^cval (1+t)^(n-fix-2 cval)."""
     excs = Counter(
         sum(1 for i, a in enumerate(member.word, start=1) if i < a)
         for member in orbit(p, collect_members=True).members

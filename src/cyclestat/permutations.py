@@ -174,6 +174,8 @@ class CycleForm:
         return sum(len(c) for c in self.cycles)
 
     def __str__(self) -> str:
+        if not self.cycles:
+            return "()"
         return "".join(
             "(" + ",".join(str(a) for a in cycle) + ")" for cycle in self.cycles
         )

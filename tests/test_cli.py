@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 from fractions import Fraction
@@ -5,14 +6,17 @@ from fractions import Fraction
 import pytest
 
 import cyclestat.cli
+import cyclestat.formulas
 from cyclestat.algebra import GammaExpansion, MultiPoly
 from cyclestat.cli import (
     EXIT_FAIL,
     EXIT_OK,
     EXIT_TOO_LARGE,
     EXIT_USAGE,
+    build_parser,
     main,
 )
+from cyclestat.formulas import CLAIMS
 
 
 def run(capsys, *argv):
@@ -40,6 +44,10 @@ class TestStats:
     def test_cycles_flag(self, capsys):
         code, out, _ = run(capsys, "stats", "649237185", "--cycles")
         assert json.loads(out)["cycles"] == "(4,2)(7,1,6)(8)(9,5,3)"
+
+    def test_cycles_flag_empty_permutation(self, capsys):
+        code, out, _ = run(capsys, "stats", "()", "--cycles")
+        assert code == EXIT_OK and json.loads(out)["cycles"] == "()"
 
     def test_parse_error(self, capsys):
         code, out, err = run(capsys, "stats", "2,2,1")
@@ -180,6 +188,12 @@ class TestVerify:
         _, second, _ = run(capsys, "verify", "all", "--n-max", "3")
         assert first == second
 
+    def test_choices_are_the_catalogue(self):
+        subparsers = argparse._SubParsersAction
+        (commands,) = [a for a in build_parser()._actions if isinstance(a, subparsers)]
+        (claim,) = [a for a in commands.choices["verify"]._actions if a.dest == "claim"]
+        assert set(claim.choices) == set(CLAIMS) | {"all"}
+
     def test_unknown_claim_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "theorem99"])
@@ -218,12 +232,12 @@ class TestVerify:
         assert "CYCLESTAT_CLASS_CAP" in err
 
     def test_failure_carries_first_differing_coefficient(self, capsys, monkeypatch):
-        real = cyclestat.cli.theorem1_joint
+        real = cyclestat.formulas.theorem1_joint
 
         def off_by_one(ct):
             return real(ct) + MultiPoly.monomial(2, 3)
 
-        monkeypatch.setattr(cyclestat.cli, "theorem1_joint", off_by_one)
+        monkeypatch.setattr(cyclestat.formulas, "theorem1_joint", off_by_one)
         code, out, _ = run(capsys, "verify", "theorem1", "--lambda", "1,2,2")
         assert code == EXIT_FAIL
         record = json.loads(out)
@@ -237,13 +251,16 @@ class TestVerify:
 
     @pytest.mark.parametrize("bad", [Fraction(-2), Fraction(1, 2)], ids=str)
     def test_cor2_requires_nonnegative_integer_gammas(self, capsys, monkeypatch, bad):
-        def with_bad_gamma(ct):
-            return [
+        # one expansion per s-coefficient of the joint distribution of (3)
+        expansions = iter(
+            [
                 GammaExpansion(2, (Fraction(0), Fraction(1))),
                 GammaExpansion(2, (Fraction(1), bad)),
             ]
-
-        monkeypatch.setattr(cyclestat.cli, "corollary2_check", with_bad_gamma)
+        )
+        monkeypatch.setattr(
+            cyclestat.formulas, "gamma_expand", lambda f, m: next(expansions)
+        )
         code, out, _ = run(capsys, "verify", "cor2", "--lambda", "3")
         assert code == EXIT_FAIL
         record = json.loads(out)

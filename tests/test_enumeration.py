@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclestat.algebra import MultiPoly
 from cyclestat.enumeration import (
@@ -260,6 +262,22 @@ class TestCountSnki:
                     assert count_snki(n, k, i, route=route) == table.get((k, i), 0)
 
 
+@st.composite
+def specs_of_nine(draw):
+    """A class, a stratum (9, k) or a cell (9, k, i) of S_9. Strata and
+    cells keep k >= 3: those with k <= 2 hold 92% of S_9 between them, so
+    drawing them would enumerate nearly all 362,880 members."""
+    shape = draw(st.sampled_from(["class", "stratum", "cell"]))
+    if shape == "class":
+        return ClassSpec.of_cycle_type(draw(st.sampled_from(partitions_of(9))))
+    k = draw(st.integers(3, 9))
+    if shape == "stratum":
+        return ClassSpec.with_fixed_points(9, k)
+    return ClassSpec.with_fixed_points_and_valleys(
+        9, k, draw(st.integers(0, (9 - k) // 2))
+    )
+
+
 class TestRoutes:
     def test_agree_on_every_class(self):
         for n in range(0, 9):
@@ -278,6 +296,12 @@ class TestRoutes:
                     assert joint_counts(spec) == joint_counts(
                         spec, route="enumerate"
                     ), spec
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(specs_of_nine())
+    def test_agree_past_the_exhaustive_range(self, spec):
+        # every class to n = 8 and every stratum to n = 7 are covered above
+        assert joint_counts(spec) == joint_counts(spec, route="enumerate")
 
     @pytest.mark.parametrize("route", ROUTES)
     def test_returns_a_fresh_dict(self, route):

@@ -2,8 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cyclestat.algebra import GammaExpansionError, MultiPoly, eulerian
+from cyclestat.algebra import GammaExpansionError, MultiPoly, eulerian, gamma_expand
 from cyclestat.enumeration import (
     ClassSpec,
     class_size,
@@ -14,8 +16,10 @@ from cyclestat.enumeration import (
     partitions_of,
 )
 from cyclestat.formulas import (
+    CLAIMS,
     VerificationReport,
     brenti,
+    claim_reports,
     corollary2_check,
     corollary3_check,
     corollary4_check,
@@ -33,6 +37,16 @@ from cyclestat.permutations import CycleType, identity, parse_permutation
 S = MultiPoly.s()
 T = MultiPoly.t()
 ONE = MultiPoly.one()
+
+
+def cor2_expansions(ct):
+    """Gamma expansion of each s-coefficient of the enumerated joint
+    distribution about (n-k)/2, the numbers Corollary 2 reads."""
+    joint = dist_joint(ClassSpec.of_cycle_type(ct), route="enumerate")
+    m = ct.n - ct.fixed_point_count
+    return [
+        gamma_expand(joint.coefficient_of_s(i), m) for i in range(joint.s_degree() + 1)
+    ]
 
 
 class TestBrenti:
@@ -133,6 +147,12 @@ class TestBeyondEnumeration:
         for m in range(10, 21):
             self.assert_routes_agree(CycleType((m,)))
 
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(st.integers(10, 14).flatmap(lambda n: st.sampled_from(partitions_of(n))))
+    def test_random_classes_to_fourteen(self, ct):
+        self.assert_routes_agree(ct)
+        assert brenti(ct) == dist_exc(ClassSpec.of_cycle_type(ct)), ct
+
 
 class TestLemma1:
     def test_identity_orbit(self):
@@ -221,14 +241,17 @@ class TestCorollaries:
         assert corollary4_check(5, 1, 1).passed
 
     def test_cor2_single_cycle(self):
-        expansions = corollary2_check(CycleType((3,)))
+        ct = CycleType((3,))
+        expansions = cor2_expansions(ct)
         assert [e.gammas for e in expansions] == [
             (Fraction(0),) * 2,
             (Fraction(0), Fraction(1)),
         ]
+        assert corollary2_check(ct).passed
 
     def test_cor2_headline_class(self):
-        expansions = corollary2_check(CycleType((1, 5, 5)))
+        ct = CycleType((1, 5, 5))
+        expansions = cor2_expansions(ct)
         nonzero = {
             i: e.gammas for i, e in enumerate(expansions) if any(e.gammas)
         }
@@ -237,20 +260,21 @@ class TestCorollaries:
         assert nonzero[3][3] == 22176
         assert nonzero[4][4] == 88704
         assert all(e.positive for e in expansions)
+        assert corollary2_check(ct).passed
 
     def test_cor2_small(self):
         for n in range(1, 7):
             for ct in partitions_of(n):
-                assert all(e.positive and e.is_integral() for e in corollary2_check(ct))
+                assert corollary2_check(ct).passed, ct
 
     def test_cor2_residual_keeps_the_s_degree(self, monkeypatch):
         # An asymmetric s^3 coefficient must be reported at s^3, not s^0.
         monkeypatch.setattr(
             "cyclestat.formulas.dist_joint", lambda spec, route: S**3 * (ONE + T)
         )
-        with pytest.raises(GammaExpansionError) as caught:
-            corollary2_check(CycleType((3,)))
-        support = caught.value.residual.terms
+        report = corollary2_check(CycleType((3,)))
+        assert not report.passed
+        support = report.lhs.terms
         assert support and all(ds == 3 for ds, _ in support)
 
 
@@ -350,6 +374,21 @@ class TestVerificationReport:
         report = VerificationReport("demo", {}, T, T)
         assert report.passed and report.witness is None
         assert "witness" not in report.to_json_record()
+
+
+class TestClaimCatalogue:
+    @pytest.mark.parametrize("claim", CLAIMS)
+    def test_every_claim_checks_and_passes_to_n_4(self, claim):
+        lambdas = [ct for n in range(0, 5) for ct in partitions_of(n)]
+        reports = list(claim_reports(claim, 4, lambdas))
+        assert reports
+        for report in reports:
+            assert isinstance(report, VerificationReport)
+            assert report.claim == claim and report.passed, report.instance
+
+    def test_unknown_claim(self):
+        with pytest.raises(ValueError, match="theorem99"):
+            list(claim_reports("theorem99", 4, []))
 
 
 class TestMixedFixedPointControl:

@@ -250,7 +250,7 @@ class TestParsing:
 PROPERTY_SETTINGS = settings(
     max_examples=60, deadline=None, derandomize=True, database=None
 )
-perms = st.integers(1, 12).flatmap(
+perms = st.integers(0, 12).flatmap(
     lambda n: st.permutations(range(1, n + 1)).map(lambda w: Permutation(tuple(w)))
 )
 cycle_types = st.lists(st.integers(1, 6), max_size=6).map(

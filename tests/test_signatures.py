@@ -1,6 +1,7 @@
 """The public surface. The call surface of the functions that once took a
-member cap, a truncation order or word boundaries: their parameter names
-are pinned, so a removed option cannot come back unnoticed. The package
+member cap, a truncation order or word boundaries, and of the claim
+catalogue behind ``verify``: their parameter names are pinned, so a
+removed option cannot come back unnoticed. The package
 exports exactly the names its modules list in ``__all__``."""
 import inspect
 
@@ -16,7 +17,12 @@ from cyclestat.enumeration import (
     iter_class,
     joint_counts,
 )
-from cyclestat.formulas import theorem1_joint, theorem6_cval
+from cyclestat.formulas import (
+    claim_reports,
+    corollary2_check,
+    theorem1_joint,
+    theorem6_cval,
+)
 from cyclestat.hopping import XFactorization, x_factorize
 
 PARAMETERS = {
@@ -28,6 +34,8 @@ PARAMETERS = {
     count_snki: ["n", "k", "i", "route"],
     theorem1_joint: ["ct"],
     theorem6_cval: ["ct"],
+    claim_reports: ["claim", "n_max", "lambdas"],
+    corollary2_check: ["ct"],
     x_factorize: ["word", "x"],
     XFactorization: ["w1", "w2", "x", "w4", "w5"],
 }
