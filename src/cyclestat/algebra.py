@@ -264,7 +264,7 @@ class MultiPoly:
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
 
-    # -- evaluation / substitution -------------------------------------
+    # -- evaluation ----------------------------------------------------
 
     def evaluate(self, s_value: Scalar, t_value: Scalar) -> Fraction:
         s_value, t_value = Fraction(s_value), Fraction(t_value)
@@ -272,16 +272,6 @@ class MultiPoly:
         for (ds, dt), c in self._terms.items():
             total += c * s_value**ds * t_value**dt
         return total
-
-    def substitute_t(self, replacement: "MultiPoly") -> "MultiPoly":
-        """Replace t by another polynomial, leaving s untouched."""
-        powers = {0: MultiPoly.one()}
-        result = MultiPoly.zero()
-        for (ds, dt), c in sorted(self._terms.items()):
-            if dt not in powers:
-                powers[dt] = replacement**dt
-            result = result + MultiPoly.monomial(ds, 0, c) * powers[dt]
-        return result
 
     def extract_t_factor(self) -> "MultiPoly":
         """Divide by t; every term must have deg_t >= 1."""

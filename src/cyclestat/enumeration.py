@@ -384,15 +384,19 @@ def _factorized_counts(ct: CycleType) -> dict[tuple[int, int], int]:
     return {key: scale * count for key, count in product.items()}
 
 
+def _check_route(route: str) -> None:
+    if route not in ("factorize", "enumerate"):
+        raise ValueError(f"route must be 'factorize' or 'enumerate', got {route!r}")
+
+
 def _class_counts(spec: ClassSpec, route: str) -> dict[tuple[int, int], int]:
     """Map (cval, exc) -> member count over the spec, as a fresh dict."""
+    _check_route(route)
     if route == "factorize":
         per_class = _factorized_counts
-    elif route == "enumerate":
+    else:
         _check_cap(spec)
         per_class = _enumerated_counts
-    else:
-        raise ValueError(f"route must be 'factorize' or 'enumerate', got {route!r}")
     combined: dict[tuple[int, int], int] = {}
     for ct in spec.cycle_types():
         for key, count in per_class(ct).items():
@@ -476,6 +480,7 @@ def count_snki(n: int, k: int, i: int, *, route: str = "factorize") -> int:
     """
     if not 0 <= k <= n:
         raise ValueError(f"fixed-point count {k} out of range [0, {n}]")
+    _check_route(route)
     if i < 0 or i > (n - k) // 2:
         return 0
     spec = ClassSpec.with_fixed_points_and_valleys(n, k, i)

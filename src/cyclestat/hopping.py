@@ -19,16 +19,19 @@ indexed by letters x in [n]:
   double ascents and cyclic double descents while preserving cyclic
   valleys, cyclic peaks, fixed points, and the cycle type.
 
-``psi`` is computed without building that word. Each canonical cycle
-starts with its maximum, so a non-fixed letter x never hops out of its
-cycle, and in the word x's neighbours compare with x exactly as its cycle
-neighbours p^-1(x) and p(x) do. A hop therefore moves x to another place
-in its own cycle: a cyclic double ascent goes to just after the first
-larger letter before its run of smaller predecessors, a cyclic double
-descent to just after the last letter of its run of smaller successors.
-``_relink`` makes that move on two flat 1-indexed lists, ``nxt`` (p) and
-``prv`` (p^-1), by re-pointing three images. The Foata-word definition
-itself is kept as the test oracle.
+Both are one move, the cyclic hop. Each canonical cycle starts with its
+maximum, so a non-fixed letter x never hops out of its cycle, and in the
+word x's neighbours compare with x exactly as its cycle neighbours p^-1(x)
+and p(x) do. A hop therefore moves x to another place in its own cycle: a
+cyclic double ascent goes to just after the first larger letter before its
+run of smaller predecessors, a cyclic double descent to just after the last
+letter of its run of smaller successors. ``_relink`` makes that move on two
+flat 1-indexed lists, ``nxt`` (p) and ``prv`` (p^-1), by re-pointing three
+images. The word action is the one-cycle case: the word w1 ... wn is the
+cycle (n+1, w1, ..., wn), in which n + 1 is the larger letter beyond both
+ends of the word, so ``phi`` relinks that cycle and reads the word back
+after n + 1. The Foata-word definition of ``psi`` and the splicing
+definition of ``phi`` are kept as the test oracles.
 
 The orbit of a permutation under ``psi`` has size 2^(n - fix - 2*cval)
 and contains exactly one member without cyclic double ascents; ``orbit``
@@ -46,6 +49,7 @@ from .permutations import (
     left_to_right_maxima,
     stat_sets,
     _cycles_of_word,
+    _links,
     _word_from_cycles,
 )
 
@@ -97,14 +101,6 @@ class XFactorization:
         if right:
             return "double_descent"
         return "valley"
-
-    @property
-    def hops(self) -> bool:
-        return self.kind in ("double_ascent", "double_descent")
-
-    def hopped(self) -> tuple[int, ...]:
-        """The word w1 w4 x w2 w5 (w2 and w4 exchanged)."""
-        return self.w1 + self.w4 + (self.x,) + self.w2 + self.w5
 
 
 def x_factorize(word: tuple[int, ...] | list[int], x: int) -> XFactorization:
@@ -165,27 +161,19 @@ def _check_letters(letters, n: int) -> list[int]:
 def phi(p: Permutation, letters) -> Permutation:
     """Apply the word-level hop involution for every letter in ``letters``.
 
-    The involutions commute, so the set alone determines the result.
+    The word w1 ... wn hops as the cycle (n+1, w1, ..., wn): every letter
+    x in [n] makes the cyclic hop of :func:`psi` there, and the word is
+    read back after n + 1. The involutions commute, so the set alone
+    determines the result.
 
     >>> str(phi(Permutation((8, 3, 4, 2, 7, 9, 1, 5, 6)), {6, 7, 8}))
     '734289615'
     """
-    word = p.word
-    for x in _check_letters(letters, p.n):
-        f = x_factorize(word, x)
-        if f.hops:
-            word = f.hopped()
-    return Permutation(word)
-
-
-def _links(word: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """``nxt`` and ``prv``: the images under p and p^-1, 1-indexed (slot 0
-    unused)."""
-    nxt = [0, *word]
-    prv = [0] * len(nxt)
-    for i, a in enumerate(word, start=1):
-        prv[a] = i
-    return nxt, prv
+    n = p.n
+    nxt, prv = _links(_word_from_cycles([(n + 1, *p.word)], n + 1))
+    for x in _check_letters(letters, n):
+        _relink(nxt, prv, x)
+    return Permutation._trusted(_cycles_of_word(tuple(nxt[1:]))[0][1:])
 
 
 def _relink(nxt: list[int], prv: list[int], x: int) -> None:

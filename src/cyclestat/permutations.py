@@ -102,13 +102,6 @@ class Permutation:
             raise ValueError(f"letter {i} out of range [1, {self.n}]")
         return self.word[i - 1]
 
-    def inverse_word(self) -> tuple[int, ...]:
-        """One-line word of the inverse permutation."""
-        inv = [0] * self.n
-        for pos, letter in enumerate(self.word, start=1):
-            inv[letter - 1] = pos
-        return tuple(inv)
-
     def __str__(self) -> str:
         if self.n == 0:
             return "()"
@@ -211,8 +204,10 @@ class CycleType:
         if "^" in text:
             parts: list[int] = []
             for token in text.split():
-                base, _, mult = token.partition("^")
-                count = int(mult) if mult else 1
+                base, caret, mult = token.partition("^")
+                if caret and not mult:
+                    raise ValueError(f"missing multiplicity in {token!r}")
+                count = int(mult) if caret else 1
                 if count < 0:
                     raise ValueError(f"negative multiplicity in {token!r}")
                 parts.extend([int(base)] * count)
@@ -306,6 +301,16 @@ def _word_from_cycles(
     return tuple(word)
 
 
+def _links(word: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """``nxt`` and ``prv``: the images under p and p^-1, 1-indexed (slot 0
+    unused)."""
+    nxt = [0, *word]
+    prv = [0] * len(nxt)
+    for i, a in enumerate(word, start=1):
+        prv[a] = i
+    return nxt, prv
+
+
 def from_cycle_form(c: CycleForm) -> Permutation:
     """Permutation defined by a set of disjoint cycles covering [n]."""
     return Permutation(_word_from_cycles(c.cycles, c.n))
@@ -336,23 +341,21 @@ def stat_sets(p: Permutation) -> StatSets:
     >>> sorted(s.cpk_set), sorted(s.cdasc_set), sorted(s.cddes_set), sorted(s.fix_set)
     ([5, 10, 11], [7], [2, 4], [6, 8])
     """
-    word = p.word
-    inv = p.inverse_word()
+    nxt, prv = _links(p.word)
     exc, cval, cpk, cdasc, cddes, fix = [], [], [], [], [], []
-    for i in range(1, len(word) + 1):
-        nxt = word[i - 1]
-        prv = inv[i - 1]
-        if nxt == i:
+    for i in range(1, p.n + 1):
+        a, b = prv[i], nxt[i]
+        if b == i:
             fix.append(i)
             continue
-        if i < nxt:
+        if i < b:
             exc.append(i)
-            if prv > i:
+            if a > i:
                 cval.append(i)
             else:
                 cdasc.append(i)
         else:
-            if prv < i:
+            if a < i:
                 cpk.append(i)
             else:
                 cddes.append(i)

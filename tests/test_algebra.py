@@ -60,11 +60,6 @@ class TestMultiPoly:
         assert p.coefficient_of_s(2) == 3 * T
         assert p.s_degree() == 2 and p.t_degree() == 1 and p.total_degree() == 3
 
-    def test_substitute_t(self):
-        p = S * T**2 + T
-        g = ONE + T
-        assert p.substitute_t(g) == S * (ONE + T) ** 2 + ONE + T
-
     def test_pow_errors(self):
         with pytest.raises(ValueError):
             T ** (-1)

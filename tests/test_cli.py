@@ -105,7 +105,7 @@ class TestDist:
         assert code == EXIT_USAGE and "error" in err
 
     @pytest.mark.parametrize(
-        "spec", ["1^1 5^-1", "5^-1", "n=5,k=2,k=3", "n=5,n=6,k=1", "(1,2)(3)"]
+        "spec", ["1^1 5^-1", "5^-1", "5^", "n=5,k=2,k=3", "n=5,n=6,k=1", "(1,2)(3)"]
     )
     def test_malformed_spec_is_a_usage_error(self, capsys, spec):
         code, out, err = run(capsys, "dist", spec)

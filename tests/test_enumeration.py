@@ -315,3 +315,6 @@ class TestRoutes:
     def test_unknown_route(self):
         with pytest.raises(ValueError, match="route"):
             dist_joint(ClassSpec.parse("3"), route="sample")
+        # i = 5 is past (n - k) // 2, where the count is 0: the route is checked first
+        with pytest.raises(ValueError, match="route"):
+            count_snki(3, 0, 5, route="bogus")

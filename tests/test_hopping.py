@@ -51,7 +51,7 @@ class TestXFactorization:
         f = x_factorize(tuple(range(1, n + 1)), n)
         assert f.w2 == (1, 2, 3, 4) and f.w4 == () and f.w1 == ()
         assert f.kind == "double_ascent"
-        assert f.hopped() == (5, 1, 2, 3, 4)
+        assert phi(identity(n), {n}).word == (5, 1, 2, 3, 4)
 
     def test_single_letter_word(self):
         f = x_factorize((1,), 1)
@@ -450,6 +450,8 @@ class TestMutationSmoke:
         cases = [(p, {x}) for p in all_perms(5) for x in range(1, 6)]
         assert any(psi(p, S).word != oracle_psi(p.word, S) for p, S in cases)
         assert any(psi(psi(p, S), S) != p for p, S in cases)
+        assert any(phi(p, S).word != oracle_phi(p.word, S) for p, S in cases)
+        assert any(phi(phi(p, S), S) != p for p, S in cases)
 
 
 class TestValidationBoundary:
