@@ -120,7 +120,7 @@ def cmd_dist(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.lam:
+    if args.lam is not None:
         try:
             lambdas = [CycleType.from_text(args.lam)]
         except ValueError as err:

@@ -49,6 +49,7 @@ __all__ = [
     "z_lambda",
     "class_size",
     "iter_class",
+    "orbit_representatives",
     "joint_counts",
     "dist_exc",
     "dist_cval",
@@ -405,6 +406,14 @@ def _class_counts(spec: ClassSpec, route: str) -> dict[tuple[int, int], int]:
     return combined
 
 
+def _members(spec: ClassSpec) -> Iterator[tuple[tuple[tuple[int, ...], ...], int, int]]:
+    _check_cap(spec)
+    for ct in spec.cycle_types():
+        for cycles, cval, exc in _iter_cycle_lists(tuple(range(1, ct.n + 1)), ct.parts):
+            if spec.cval is None or cval == spec.cval:
+                yield cycles, cval, exc
+
+
 def iter_class(spec: ClassSpec) -> Iterator[Permutation]:
     """Stream every member of the spec exactly once.
 
@@ -414,13 +423,20 @@ def iter_class(spec: ClassSpec) -> Iterator[Permutation]:
     >>> sorted(str(p) for p in iter_class(ClassSpec.parse("3")))
     ['231', '312']
     """
-    _check_cap(spec)
-    want_cval = spec.cval
-    for ct in spec.cycle_types():
-        n = ct.n
-        for cycles, cval, _ in _iter_cycle_lists(tuple(range(1, n + 1)), ct.parts):
-            if want_cval is None or cval == want_cval:
-                yield Permutation(_word_from_cycles(cycles, n))
+    for cycles, _, _ in _members(spec):
+        yield Permutation(_word_from_cycles(cycles, spec.n))
+
+
+def orbit_representatives(spec: ClassSpec) -> Iterator[Permutation]:
+    """The members of :func:`iter_class` with no cyclic double ascent
+    (cdasc = exc - cval), one per orbit of cyclic valley-hopping.
+
+    >>> [str(p) for p in orbit_representatives(ClassSpec.parse("3"))]
+    ['312']
+    """
+    for cycles, cval, exc in _members(spec):
+        if exc == cval:
+            yield Permutation(_word_from_cycles(cycles, spec.n))
 
 
 def joint_counts(

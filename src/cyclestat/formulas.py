@@ -27,10 +27,10 @@ differ only in the pair (core, x): (1, t) for ``brenti``,
   relating the excedance distribution to the joint (or cval)
   distribution over any hop-invariant family, verified in cleared
   polynomial form (no radicals, exact equality).
-* ``theorem2_gamma`` and the corollary checks: gamma-positivity of the
-  excedance distribution with its two combinatorial readings of the
-  gamma coefficients (orbit representatives without cyclic double
-  ascents, and orbit counts scaled by powers of 2).
+* ``theorem2_check``, which decides Theorem 2, and the corollary
+  checks: gamma-positivity of the excedance distribution, with the two
+  readings of its gammas that ``theorem2_gamma`` counts (orbit
+  representatives without cyclic double ascents, orbit counts over 2^j).
 * ``egf_snki``: the table of counts by (length, fixed points, cyclic
   valleys) extracted from an exponential generating function, computed
   radical-free as a truncated series in x over exact polynomials.
@@ -62,12 +62,12 @@ from .enumeration import (
     dist_cval,
     dist_exc,
     dist_joint,
-    iter_class,
     joint_counts,
+    orbit_representatives,
     partitions_of,
 )
 from .hopping import orbit
-from .permutations import CycleType, Permutation, stat_counts, stat_sets
+from .permutations import CycleType, Permutation, stat_counts
 
 __all__ = [
     "VerificationReport",
@@ -132,11 +132,11 @@ def _require_integral(p: MultiPoly, context: str) -> MultiPoly:
     return p
 
 
-def _brenti_product(ct: CycleType, core: MultiPoly, x: MultiPoly) -> MultiPoly:
-    """Brenti's product with core and argument x substituted:
+def _brenti_product(ct: CycleType, core: MultiPoly, factor) -> MultiPoly:
+    """Brenti's product with core and Eulerian factors substituted:
     (n!/z_lambda) * core^(n - m_1) * prod over part sizes i of
-    [A_(i-1)(x)/(i-1)!]^(m_i). The result has the kind of core and x:
-    polynomials for ``brenti``, series for Theorems 1 and 6.
+    [factor(i-1)/(i-1)!]^(m_i), where factor(d) is A_d(x): ``eulerian``
+    itself for ``brenti`` (x = t), series for Theorems 1 and 6.
 
     The Eulerian factors are multiplied unscaled and the scalar is applied
     once, as the integer multinomial n!/prod_i(i!^(m_i) m_i!), which is
@@ -145,7 +145,7 @@ def _brenti_product(ct: CycleType, core: MultiPoly, x: MultiPoly) -> MultiPoly:
     denominator = 1
     for size, mult in sorted(ct.multiplicities.items()):
         denominator *= factorial(size) ** mult * factorial(mult)
-        result = result * poly_at_series(eulerian(size - 1), x) ** mult
+        result = result * factor(size - 1) ** mult
     return result * (factorial(ct.n) // denominator)
 
 
@@ -157,7 +157,7 @@ def brenti(ct: CycleType) -> MultiPoly:
     't + t^2'
     """
     return _require_integral(
-        _brenti_product(ct, MultiPoly.one(), MultiPoly.t()), "brenti"
+        _brenti_product(ct, MultiPoly.one(), eulerian), "brenti"
     )
 
 
@@ -200,7 +200,8 @@ def theorem1_joint(ct: CycleType) -> MultiPoly:
     's*t + s*t^2'
     """
     u, v = _theorem1_substitutions(ct.n + 4)
-    result = _brenti_product(ct, (1 + u) / (1 + u * v), v)
+    at_v = lambda d: poly_at_series(eulerian(d), v)  # noqa: E731
+    result = _brenti_product(ct, (1 + u) / (1 + u * v), at_v)
     return _require_integral(result.to_poly(ct.n), "theorem1_joint")
 
 
@@ -219,7 +220,7 @@ def theorem6_cval(ct: CycleType) -> MultiPoly:
     # in x; the coefficient of x^k is then 4^k times that of t^k.
     root = TruncSeries.from_poly(MultiPoly.one() - 4 * MultiPoly.t(), ct.n + 4).sqrt()
     w = (1 - root).extract_t_factor() / 2 - 1
-    at_4x = _brenti_product(ct, 1 + root, w)
+    at_4x = _brenti_product(ct, 1 + root, lambda d: poly_at_series(eulerian(d), w))
     result = TruncSeries(
         {(0, k): Fraction(c, 4**k) for (_, k), c in at_4x._terms.items()}, at_4x.order
     )
@@ -303,7 +304,8 @@ def theorem5_check(spec: ClassSpec) -> VerificationReport:
 class Theorem2Gamma:
     """Gamma data for the excedance distribution over a hop-invariant family.
 
-    Three independently computed readings of the same numbers:
+    Three independently computed readings of the same numbers; Theorem 2
+    holds when they agree, which :func:`theorem2_check` decides:
 
     * ``expansion``: algebraic expansion of dist_exc about (n-k)/2;
     * ``by_no_double_ascent``: gamma_i as the number of members with i
@@ -312,30 +314,17 @@ class Theorem2Gamma:
       divided by the orbit size 2^(n-k-2i).
     """
 
-    spec: ClassSpec
     expansion: GammaExpansion
     by_no_double_ascent: tuple[int, ...]
     by_orbit_scaling: tuple[Fraction, ...]
-
-    @property
-    def consistent(self) -> bool:
-        padded = list(self.expansion.gammas)
-        width = (self.spec.n - self.spec.fixed_point_count) // 2 + 1
-        padded += [Fraction(0)] * (width - len(padded))
-        return (
-            self.expansion.positive
-            and self.expansion.is_integral()
-            and tuple(padded) == tuple(map(Fraction, self.by_no_double_ascent))
-            and tuple(padded) == tuple(self.by_orbit_scaling)
-        )
 
 
 def theorem2_gamma(spec: ClassSpec) -> Theorem2Gamma:
     """Expand dist_exc(spec) about (n-k)/2 and count its gamma witnesses.
 
     >>> g = theorem2_gamma(ClassSpec.with_fixed_points(3, 0))
-    >>> g.expansion.gammas, g.by_no_double_ascent, g.consistent
-    ((Fraction(0, 1), Fraction(1, 1)), (0, 1), True)
+    >>> g.expansion.gammas, g.by_no_double_ascent
+    ((Fraction(0, 1), Fraction(1, 1)), (0, 1))
     """
     n, k = spec.n, spec.fixed_point_count
     expansion = gamma_expand(dist_exc(spec, route="enumerate"), n - k)
@@ -348,7 +337,6 @@ def theorem2_gamma(spec: ClassSpec) -> Theorem2Gamma:
             no_dasc[cval] += mult
         scaled[cval] += Fraction(mult, 2 ** (n - k - 2 * cval))
     return Theorem2Gamma(
-        spec=spec,
         expansion=expansion,
         by_no_double_ascent=tuple(no_dasc),
         by_orbit_scaling=tuple(scaled),
@@ -375,9 +363,7 @@ def theorem2_check(spec: ClassSpec) -> VerificationReport:
         return VerificationReport(
             claim="theorem2", instance=instance, lhs=lhs, rhs=MultiPoly.zero()
         )
-    rec_no_dasc = GammaExpansion(
-        n - k, tuple(Fraction(g) for g in data.by_no_double_ascent)
-    ).reconstruct()
+    rec_no_dasc = GammaExpansion(n - k, data.by_no_double_ascent).reconstruct()
     rec_scaled = GammaExpansion(n - k, data.by_orbit_scaling).reconstruct()
     if rec_no_dasc != rec_scaled:
         return VerificationReport(
@@ -537,10 +523,8 @@ def claim_reports(claim: str, n_max: int, lambdas: list[CycleType]):
     elif claim == "lemma1":
         for n in range(1, n_max + 1):
             for ct in partitions_of(n):
-                for p in iter_class(ClassSpec.of_cycle_type(ct)):
-                    if stat_sets(p).cdasc_set:
-                        continue  # one representative per orbit
-                    yield lemma1_check(p)
+                spec = ClassSpec.of_cycle_type(ct)
+                yield from map(lemma1_check, orbit_representatives(spec))
     elif claim in ("theorem2", "theorem4", "theorem5"):
         check = {
             "theorem2": theorem2_check,

@@ -18,7 +18,7 @@ from cyclestat.enumeration import (
     dist_cval,
     dist_exc,
     dist_joint,
-    iter_class,
+    orbit_representatives,
     partitions_of,
 )
 from cyclestat.formulas import (
@@ -29,7 +29,7 @@ from cyclestat.formulas import (
     egf_snki,
     lemma1_check,
     theorem1_joint,
-    theorem2_gamma,
+    theorem2_check,
     theorem6_cval,
 )
 from cyclestat.hopping import foata, orbit, phi, psi, x_factorize
@@ -202,9 +202,7 @@ def test_criterion_06_orbit_identity_every_orbit():
     bad = []
     for n in range(1, 7):
         for ct in partitions_of(n):
-            for p in iter_class(ClassSpec.of_cycle_type(ct)):
-                if stat_sets(p).cdasc_set:
-                    continue  # not the orbit representative
+            for p in orbit_representatives(ClassSpec.of_cycle_type(ct)):
                 if not lemma1_check(p).passed:
                     bad.append(p)
     report(not bad, f"criterion 6: orbit-level cleared identity, all orbits n<=6 {bad}")
@@ -214,12 +212,12 @@ def test_criterion_07_gamma_suite():
     failures = []
     for n in range(1, 9):
         for ct in partitions_of(n):
-            if not theorem2_gamma(ClassSpec.of_cycle_type(ct)).consistent:
+            if not theorem2_check(ClassSpec.of_cycle_type(ct)).passed:
                 failures.append(("theorem2", str(ct)))
             if not corollary2_check(ct).passed:
                 failures.append(("cor2", str(ct)))
         for k in range(0, n + 1):
-            if not theorem2_gamma(ClassSpec.with_fixed_points(n, k)).consistent:
+            if not theorem2_check(ClassSpec.with_fixed_points(n, k)).passed:
                 failures.append(("theorem2", (n, k)))
             if not corollary3_check(n, k).passed:
                 failures.append(("cor3", (n, k)))
@@ -281,7 +279,7 @@ def test_criterion_10_negative_control():
     # ... while each fixed-point stratum expands gamma-positively about
     # its own center, and the strata reassemble the full polynomial.
     strata_ok = all(
-        theorem2_gamma(ClassSpec.with_fixed_points(3, k)).consistent
+        theorem2_check(ClassSpec.with_fixed_points(3, k)).passed
         for k in (0, 1, 3)
     )
     decomposition_ok = True

@@ -267,6 +267,9 @@ class TestTruncSeries:
         geom = one / (one - t)
         with pytest.raises(TruncationResidueError):
             geom.to_poly(3)
+        # the only residue is then at degree 5, one above the maximum
+        with pytest.raises(TruncationResidueError):
+            geom.to_poly(4)
 
     def test_order_shrinks_on_mixing(self):
         a = TruncSeries.from_poly(T, 7)

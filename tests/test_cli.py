@@ -169,6 +169,14 @@ class TestVerify:
             "verdict": "pass",
         }
 
+    @pytest.mark.parametrize("text", ["", " ", "()"])
+    def test_empty_lambda_is_the_empty_partition(self, capsys, text):
+        code, out, _ = run(capsys, "verify", "theorem1", "--lambda", text)
+        assert code == EXIT_OK
+        assert [json.loads(line) for line in out.splitlines()] == [
+            {"claim": "theorem1", "instance": {"lambda": []}, "verdict": "pass"}
+        ]
+
     def test_theorem1_range(self, capsys):
         code, out, _ = run(capsys, "verify", "theorem1", "--n-max", "4")
         assert code == EXIT_OK

@@ -17,9 +17,11 @@ from cyclestat.enumeration import (
     dist_joint,
     iter_class,
     joint_counts,
+    orbit_representatives,
     partitions_of,
     z_lambda,
 )
+from cyclestat.formulas import theorem2_gamma
 from cyclestat.permutations import CycleType, cycle_type
 
 from conftest import all_perms, oracle_cval, oracle_cycle_sizes, oracle_exc, oracle_fix
@@ -149,6 +151,8 @@ class TestIterClass:
         with pytest.raises(ClassTooLargeError):
             list(iter_class(spec))
         with pytest.raises(ClassTooLargeError):
+            list(orbit_representatives(spec))
+        with pytest.raises(ClassTooLargeError):
             dist_exc(spec, route="enumerate")
         # the factorized route visits no members, so the cap does not apply
         assert dist_exc(spec).coefficient_sum() == 798336
@@ -166,9 +170,48 @@ class TestIterClass:
         assert len(list(iter_class(spec))) == 15
         monkeypatch.setenv("CYCLESTAT_CLASS_CAP", "")
         assert class_cap() == DEFAULT_CLASS_CAP
+        assert DEFAULT_CLASS_CAP == 10**8  # the figure README and the CLI give
         monkeypatch.setenv("CYCLESTAT_CLASS_CAP", "abc")
         with pytest.raises(ValueError, match="CYCLESTAT_CLASS_CAP"):
             class_cap()
+
+
+def _specs_to_six():
+    """Every class, (n, k) stratum and (n, k, i) cell with n <= 6."""
+    for n in range(7):
+        yield from map(ClassSpec.of_cycle_type, partitions_of(n))
+        for k in range(n + 1):
+            yield ClassSpec.with_fixed_points(n, k)
+            for i in range((n - k) // 2 + 1):
+                yield ClassSpec.with_fixed_points_and_valleys(n, k, i)
+
+
+def _oracle_in_spec(word, spec):
+    if spec.cycle_type is not None:
+        return oracle_cycle_sizes(word) == spec.cycle_type.parts
+    if oracle_fix(word) != spec.fixed_points:
+        return False
+    return spec.cval is None or oracle_cval(word) == spec.cval
+
+
+class TestOrbitRepresentatives:
+    def test_members_without_double_ascent_in_iter_class_order(self):
+        for spec in _specs_to_six():
+            ours = [p.word for p in orbit_representatives(spec)]
+            expected = {
+                w
+                for w in (p.word for p in all_perms(spec.n))
+                if _oracle_in_spec(w, spec) and oracle_exc(w) == oracle_cval(w)
+            }
+            assert set(ours) == expected and len(ours) == len(expected), spec
+            assert ours == [p.word for p in iter_class(spec) if p.word in expected]
+
+    def test_counts_by_cval_are_the_theorem2_gammas(self):
+        for spec in _specs_to_six():
+            counts = [0] * ((spec.n - spec.fixed_point_count) // 2 + 1)
+            for p in orbit_representatives(spec):
+                counts[oracle_cval(p.word)] += 1
+            assert tuple(counts) == theorem2_gamma(spec).by_no_double_ascent, spec
 
 
 class TestDistributions:

@@ -16,6 +16,7 @@ from cyclestat.enumeration import (
     dist_joint,
     iter_class,
     joint_counts,
+    orbit_representatives,
 )
 from cyclestat.formulas import (
     claim_reports,
@@ -27,6 +28,7 @@ from cyclestat.hopping import XFactorization, x_factorize
 
 PARAMETERS = {
     iter_class: ["spec"],
+    orbit_representatives: ["spec"],
     joint_counts: ["spec", "route"],
     dist_joint: ["spec", "route"],
     dist_exc: ["spec", "route"],
