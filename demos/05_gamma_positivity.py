@@ -27,8 +27,10 @@ for n in range(1, 7):
 # readings, and all three computations agree.
 print()
 for text in ("n=4,k=0", "1,2,2,4"):
-    data = theorem2_gamma(ClassSpec.parse(text))
-    print(f"{text}: gamma =", [int(g) for g in data.expansion.gammas])
+    spec = ClassSpec.parse(text)
+    expansion = gamma_expand(dist_exc(spec), spec.n - spec.fixed_point_count)
+    data = theorem2_gamma(spec)
+    print(f"{text}: gamma =", [int(g) for g in expansion.gammas])
     print("   members with i valleys, no double ascent:", data.by_no_double_ascent)
     print("   members with i valleys / orbit size:     ",
           [str(g) for g in data.by_orbit_scaling])

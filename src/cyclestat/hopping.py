@@ -47,6 +47,7 @@ from .enumeration import ClassTooLargeError, class_cap
 from .permutations import (
     Permutation,
     left_to_right_maxima,
+    stat_counts,
     stat_sets,
     _cycles_of_word,
     _links,
@@ -275,7 +276,6 @@ def orbit(p: Permutation, collect_members: bool = False) -> OrbitReport:
 def orbit_exc_polynomial(p: Permutation) -> MultiPoly:
     """Sum of t^exc over the orbit of p; equals t^cval (1+t)^(n-fix-2 cval)."""
     excs = Counter(
-        sum(1 for i, a in enumerate(member.word, start=1) if i < a)
-        for member in orbit(p, collect_members=True).members
+        stat_counts(member).exc for member in orbit(p, collect_members=True).members
     )
     return MultiPoly({(0, exc): count for exc, count in excs.items()})

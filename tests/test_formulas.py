@@ -179,21 +179,23 @@ class TestLemma1:
 
 class TestTheorem2:
     def test_derangements_of_three(self):
-        data = theorem2_gamma(ClassSpec.with_fixed_points(3, 0))
-        assert data.expansion.gammas == (Fraction(0), Fraction(1))
+        spec = ClassSpec.with_fixed_points(3, 0)
+        data = theorem2_gamma(spec)
+        assert gamma_expand(dist_exc(spec), 3).gammas == (Fraction(0), Fraction(1))
         assert data.by_no_double_ascent == (0, 1)
         assert data.by_orbit_scaling == (Fraction(0), Fraction(1))
-        assert theorem2_check(ClassSpec.with_fixed_points(3, 0)).passed
+        assert theorem2_check(spec).passed
 
     def test_identity_class(self):
-        data = theorem2_gamma(ClassSpec.parse("1,1,1,1"))
-        assert data.expansion.gammas == (Fraction(1),)
-        assert theorem2_check(ClassSpec.parse("1,1,1,1")).passed
+        spec = ClassSpec.parse("1,1,1,1")
+        assert gamma_expand(dist_exc(spec), 0).gammas == (Fraction(1),)
+        assert theorem2_check(spec).passed
 
     def test_nine_letter_class(self):
-        data = theorem2_gamma(ClassSpec.parse("1,2,2,4"))
-        assert theorem2_check(ClassSpec.parse("1,2,2,4")).passed
-        assert data.expansion.reconstruct() == dist_exc(ClassSpec.parse("1,2,2,4"))
+        spec = ClassSpec.parse("1,2,2,4")
+        assert theorem2_check(spec).passed
+        expansion = gamma_expand(dist_exc(spec), 8)
+        assert expansion.reconstruct() == dist_exc(spec)
 
     def test_consistency_small(self):
         for n in range(1, 7):
@@ -213,6 +215,34 @@ class TestTheorem2:
         report = theorem2_check(ClassSpec.parse("n=4,k=0"))
         assert report.passed
         assert report.to_json_record()["verdict"] == "pass"
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda: theorem2_check(ClassSpec.parse("n=3,k=0")),
+            lambda: theorem5_check(ClassSpec.parse("n=3,k=0")),
+            lambda: corollary3_check(3, 0),
+            lambda: corollary4_check(3, 0, 1),
+        ],
+        ids=["theorem2", "theorem5", "cor3", "cor4"],
+    )
+    def test_asymmetric_exc_fails_with_a_witness(self, monkeypatch, check):
+        # No gamma expansion exists about 3/2; the checks report, not raise.
+        monkeypatch.setattr("cyclestat.formulas.dist_exc", lambda spec, route: T)
+        report = check()
+        assert not report.passed
+        assert report.witness is not None
+
+    def test_disagreeing_readings_are_the_two_sides(self, monkeypatch):
+        # One member with exc 1 and cval 0: no no-double-ascent count,
+        # but a quarter of an orbit.
+        monkeypatch.setattr(
+            "cyclestat.formulas.joint_counts", lambda spec, route: {(0, 1): 1}
+        )
+        report = theorem2_check(ClassSpec.parse("n=2,k=0"))
+        assert not report.passed
+        assert report.lhs == MultiPoly.zero()
+        assert report.rhs == (ONE + T) ** 2 * Fraction(1, 4)
 
 
 class TestCorollaries:

@@ -1,8 +1,10 @@
 """The public surface. The call surface of the functions that once took a
 member cap, a truncation order or word boundaries, and of the claim
 catalogue behind ``verify``: their parameter names are pinned, so a
-removed option cannot come back unnoticed. The package
-exports exactly the names its modules list in ``__all__``."""
+removed option cannot come back unnoticed. So are the fields of
+``Theorem2Gamma``, which once carried a third, unread gamma reading. The
+package exports exactly the names its modules list in ``__all__``."""
+import dataclasses
 import inspect
 
 import pytest
@@ -19,6 +21,7 @@ from cyclestat.enumeration import (
     orbit_representatives,
 )
 from cyclestat.formulas import (
+    Theorem2Gamma,
     claim_reports,
     corollary2_check,
     theorem1_joint,
@@ -46,6 +49,11 @@ PARAMETERS = {
 def test_call_surface():
     found = {f.__name__: list(inspect.signature(f).parameters) for f in PARAMETERS}
     assert found == {f.__name__: names for f, names in PARAMETERS.items()}
+
+
+def test_theorem2_gamma_fields():
+    fields = [field.name for field in dataclasses.fields(Theorem2Gamma)]
+    assert fields == ["by_no_double_ascent", "by_orbit_scaling"]
 
 
 MODULES = (permutations, hopping, enumeration, algebra, formulas)
