@@ -23,6 +23,9 @@ These three share one Brenti product,
 (n!/z_lambda) * core^(n - m_1) * prod [A_(i-1)(x)/(i-1)!]^(m_i), and
 differ only in the pair (core, x): (1, t) for ``brenti``,
 ((1+u)/(1+uv), v) for Theorem 1 and (1 + sqrt(1-t), w) for Theorem 6.
+For Theorems 1 and 6 each pair (core, x) depends only on the truncation
+order, not on the class, so it is built once per order, with its
+factors A_d(x).
 * ``lemma1_check`` / ``theorem4_check`` / ``theorem5_check``: identities
   relating the excedance distribution to the joint (or cval)
   distribution over any hop-invariant family, verified in cleared
@@ -172,8 +175,8 @@ def _theorem1_substitutions(order: int) -> tuple[TruncSeries, TruncSeries]:
 
     Both numerators are divisible by the monomials below them, so the
     quotients are honest power series; dividing by t (and s) reduces the
-    carried truncation order, which is why callers ask for a little
-    headroom.
+    carried truncation order, which is why its one caller, the per-order
+    cache :func:`_theorem1_series`, asks for a little headroom.
     """
     s = MultiPoly.s()
     t = MultiPoly.t()
@@ -190,6 +193,28 @@ def _theorem1_substitutions(order: int) -> tuple[TruncSeries, TruncSeries]:
     return u, v
 
 
+def _eulerian_at(x: TruncSeries):
+    """d -> A_d(x), each factor built once."""
+    return lru_cache(maxsize=None)(lambda d: poly_at_series(eulerian(d), x))
+
+
+@lru_cache(maxsize=None)
+def _theorem1_series(order: int):
+    """Theorem 1's pair (core, d -> A_d(v)) at one truncation order; it
+    depends on no class, so each order builds it once per process."""
+    u, v = _theorem1_substitutions(order)
+    return (1 + u) / (1 + u * v), _eulerian_at(v)
+
+
+@lru_cache(maxsize=None)
+def _theorem6_series(order: int):
+    """Theorem 6's pair (1 + sqrt(1-4x), d -> A_d(w)) at t = 4x, built
+    once per truncation order, as :func:`_theorem1_series`."""
+    root = TruncSeries.from_poly(MultiPoly.one() - 4 * MultiPoly.t(), order).sqrt()
+    w = (1 - root).extract_t_factor() / 2 - 1
+    return 1 + root, _eulerian_at(w)
+
+
 def theorem1_joint(ct: CycleType) -> MultiPoly:
     """Joint (cval, exc) distribution over a conjugacy class, closed form.
 
@@ -197,14 +222,14 @@ def theorem1_joint(ct: CycleType) -> MultiPoly:
     evaluated in series truncated at total degree n + 4 and converted back
     to an exact polynomial. Dividing out s and t inside v leaves order
     n + 2, so the conversion's residue check still sees the degrees above
-    n. Must equal ``dist_joint`` of the same class.
+    n. The substituted series depend only on the order, so they are
+    built once per order and process; a class costs only its own
+    product. Must equal ``dist_joint`` of the same class.
 
     >>> str(theorem1_joint(CycleType((3,))))
     's*t + s*t^2'
     """
-    u, v = _theorem1_substitutions(ct.n + 4)
-    at_v = lambda d: poly_at_series(eulerian(d), v)  # noqa: E731
-    result = _brenti_product(ct, (1 + u) / (1 + u * v), at_v)
+    result = _brenti_product(ct, *_theorem1_series(ct.n + 4))
     return _require_integral(result.to_poly(ct.n), "theorem1_joint")
 
 
@@ -213,17 +238,16 @@ def theorem6_cval(ct: CycleType) -> MultiPoly:
 
     (n!/z_lambda) * (1 + sqrt(1-t))^(n - m_1) * prod [A_(i-1)(w)/(i-1)!]^(m_i)
     with w = 2 t^-1 (1 - sqrt(1-t)) - 1, evaluated in series truncated at
-    degree n + 4, as in :func:`theorem1_joint`. Must equal ``dist_cval``
-    of the same class.
+    degree n + 4, as in :func:`theorem1_joint`; the substituted series
+    are likewise built once per order and process. Must equal
+    ``dist_cval`` of the same class.
 
     >>> str(theorem6_cval(CycleType((3,))))
     '2*t'
     """
     # Evaluated at t = 4x, where sqrt(1 - 4x) and w are integral series
     # in x; the coefficient of x^k is then 4^k times that of t^k.
-    root = TruncSeries.from_poly(MultiPoly.one() - 4 * MultiPoly.t(), ct.n + 4).sqrt()
-    w = (1 - root).extract_t_factor() / 2 - 1
-    at_4x = _brenti_product(ct, 1 + root, lambda d: poly_at_series(eulerian(d), w))
+    at_4x = _brenti_product(ct, *_theorem6_series(ct.n + 4))
     result = TruncSeries(
         {(0, k): Fraction(c, 4**k) for (_, k), c in at_4x._terms.items()}, at_4x.order
     )

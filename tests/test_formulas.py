@@ -144,6 +144,11 @@ class TestBeyondEnumeration:
         for ct in partitions_of(10):
             self.assert_routes_agree(ct)
 
+    def test_every_class_eleven_to_fourteen(self):
+        for n in range(11, 15):
+            for ct in partitions_of(n):
+                self.assert_routes_agree(ct)
+
     def test_single_cycles(self):
         for m in range(10, 21):
             self.assert_routes_agree(CycleType((m,)))
