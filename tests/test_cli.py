@@ -67,6 +67,12 @@ class TestOrbit:
         code, out, _ = run(capsys, "orbit", "1,2,3")
         assert json.loads(out)["size"] == 1
 
+    def test_parse_error(self, capsys):
+        code, out, err = run(capsys, "orbit", "2,2,1")
+        assert code == EXIT_USAGE
+        assert not out
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_running_example(self, capsys):
         code, out, _ = run(capsys, "orbit", "(5,2,1)(6)(8)(11,9,10,4,3,7)")
         assert json.loads(out)["size"] == 8
@@ -169,6 +175,12 @@ class TestVerify:
             "verdict": "pass",
         }
 
+    def test_malformed_lambda_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "brenti", "--lambda", "0")
+        assert code == EXIT_USAGE
+        assert not out
+        assert err.startswith("error:") and err.count("\n") == 1
+
     @pytest.mark.parametrize("text", ["", " ", "()"])
     def test_empty_lambda_is_the_empty_partition(self, capsys, text):
         code, out, _ = run(capsys, "verify", "theorem1", "--lambda", text)
@@ -211,6 +223,7 @@ class TestVerify:
         "argv",
         [
             ("verify", "lemma1", "--lambda", "3"),
+            ("verify", "egf", "--lambda", "3"),
             ("verify", "theorem1", "--n-max", "-1"),
         ],
     )

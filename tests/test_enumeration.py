@@ -107,6 +107,20 @@ class TestClassSpec:
         with pytest.raises(ValueError):
             ClassSpec.with_fixed_points_and_valleys(4, 0, 3)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"n": -1, "fixed_points": 0}, "nonnegative"),
+            ({"n": 3, "cycle_type": CycleType((3,)), "fixed_points": 0}, "excludes"),
+            ({"n": 4, "cycle_type": CycleType((3,))}, "not a partition of 4"),
+            ({"n": 3}, "need a cycle type"),
+        ],
+        ids=["negative-n", "two-shapes", "wrong-n", "no-shape"],
+    )
+    def test_shape_validation(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            ClassSpec(**fields)
+
     def test_covered_types(self):
         spec = ClassSpec.with_fixed_points(5, 1)
         types = {str(ct) for ct in spec.cycle_types()}

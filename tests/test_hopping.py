@@ -66,6 +66,11 @@ class TestXFactorization:
         assert f.kind == "double_descent"
         assert x_factorize((1, 2), 2).kind == "double_ascent"
 
+    def test_peak(self):
+        f = x_factorize((1, 3, 2), 3)
+        assert f.w2 == (1,) and f.w4 == (2,)
+        assert f.kind == "peak"
+
     def test_missing_letter(self):
         with pytest.raises(ValueError, match="does not occur"):
             x_factorize((1, 2, 3), 7)

@@ -3,14 +3,16 @@ member cap, a truncation order or word boundaries, and of the claim
 catalogue behind ``verify``: their parameter names are pinned, so a
 removed option cannot come back unnoticed. So are the fields of
 ``Theorem2Gamma``, which once carried a third, unread gamma reading. The
-package exports exactly the names its modules list in ``__all__``."""
+package exports exactly the names its modules list in ``__all__``, and
+the layers above ``enumeration`` import none of the private ones."""
+import ast
 import dataclasses
 import inspect
 
 import pytest
 
 import cyclestat
-from cyclestat import algebra, enumeration, formulas, hopping, permutations
+from cyclestat import algebra, cli, enumeration, formulas, hopping, permutations
 from cyclestat.enumeration import (
     count_snki,
     dist_cval,
@@ -75,3 +77,17 @@ def test_exported_name_is_defined_in_its_module(module, name):
     if inspect.isfunction(value) or inspect.isclass(value):
         assert value.__module__ == module.__name__
     assert getattr(cyclestat, name) is value
+
+
+@pytest.mark.parametrize("module", [formulas, cli], ids=lambda m: m.__name__)
+def test_no_private_imports_across_modules(module):
+    tree = ast.parse(inspect.getsource(module))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").startswith("cyclestat"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
