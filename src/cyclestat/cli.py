@@ -13,8 +13,12 @@ Subcommands:
   each claim was checked and everything passed. A failing record carries
   the first differing coefficient as its witness; for ``egf`` the
   monomial's s and t exponents are the fixed-point and cyclic-valley counts.
+  ``--lambda`` checks that one class and leaves the ``--n-max`` range
+  empty, so ``lemma1``, ``cor3``, ``cor4`` and ``egf`` have no instances
+  and ``verify all --lambda ...`` exits 2.
 * ``table``  -- machine-readable tables (counts, gamma coefficients,
-  Eulerian coefficients) as CSV or JSON lines.
+  Eulerian coefficients) as CSV or JSON lines; a range with no rows,
+  such as ``table snki --n-max 0``, is reported as an empty table.
 
 All numeric output is exact (integers or p/q rationals as text, never
 floats) and deterministically ordered, so identical invocations produce
@@ -60,27 +64,30 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_TOO_LARGE = 3
 
+
+class _BadInput(Exception):
+    """Bad user input; :func:`main` prints it as one ``error:`` line."""
+
+
+def _parse(parser, *args):
+    """``parser(*args)``, with a ValueError it raises turned into bad input."""
+    try:
+        return parser(*args)
+    except ValueError as err:
+        raise _BadInput(err) from None
+
+
 def _print_json(record: dict) -> None:
     print(json.dumps(record, sort_keys=True))
 
 
 def cmd_stats(args) -> int:
-    try:
-        p = parse_permutation(args.perm)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    counts = stat_counts(p)
+    p = _parse(parse_permutation, args.perm)
     record = {
         "n": p.n,
         "word": list(p.word),
         "des": des(p),
-        "exc": counts.exc,
-        "cval": counts.cval,
-        "cpk": counts.cpk,
-        "cdasc": counts.cdasc,
-        "cddes": counts.cddes,
-        "fix": counts.fix,
+        **stat_counts(p)._asdict(),
         "cycle_type": list(cycle_type(p).parts),
     }
     if args.cycles:
@@ -90,11 +97,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    try:
-        p = parse_permutation(args.perm)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    p = _parse(parse_permutation, args.perm)
     report = orbit(p, collect_members=args.members)
     record = {
         "size": report.size,
@@ -109,11 +112,7 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_dist(args) -> int:
-    try:
-        spec = ClassSpec.parse(args.spec)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    spec = _parse(ClassSpec.parse, args.spec)
     compute = {"exc": dist_exc, "cval": dist_cval, "joint": dist_joint}[args.stat]
     print(compute(spec))
     return EXIT_OK
@@ -121,11 +120,7 @@ def cmd_dist(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.lam is not None:
-        try:
-            lambdas = [CycleType.from_text(args.lam)]
-        except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_USAGE
+        lambdas = [_parse(CycleType.from_text, args.lam)]
         n_max = 0
     else:
         n_max = args.n_max
@@ -164,8 +159,7 @@ def _csv_cell(value) -> str:
 def _emit_table(rows: list[dict], fields: list[str], fmt: str) -> int:
     """Print rows as JSON lines or CSV; an empty table is a usage error."""
     if not rows:
-        print("error: no table rows in the requested range", file=sys.stderr)
-        return EXIT_USAGE
+        raise _BadInput("no table rows in the requested range")
     if fmt == "json":
         for row in rows:
             _print_json(row)
@@ -185,11 +179,7 @@ def cmd_table(args) -> int:
             rows.append({"n": n, "coefficients": coeffs})
         return _emit_table(rows, ["n", "coefficients"], args.format)
     if args.what == "snki":
-        try:
-            table = egf_snki(args.n_max)
-        except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_USAGE
+        table = egf_snki(args.n_max) if args.n_max >= 1 else {}
         rows = [
             {"n": n, "k": k, "i": i, "count": count}
             for (n, k, i), count in sorted(table.items())
@@ -245,12 +235,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        class_cap()  # a bad cap is bad input, reported before any output
-    except ValueError as err:
+        _parse(class_cap)  # a bad cap is bad input, reported before any output
+        return args.func(args)
+    except _BadInput as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        return args.func(args)
     except ClassTooLargeError as err:
         print(f"class too large: {err}", file=sys.stderr)
         return EXIT_TOO_LARGE

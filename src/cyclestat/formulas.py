@@ -36,7 +36,8 @@ factors A_d(x).
   representatives without cyclic double ascents, orbit counts over 2^j).
   ``theorem2_gamma`` is the one count of those gammas: Theorem 5 and
   Corollaries 3 and 4 reconstruct their right sides from its
-  ``by_orbit_scaling`` reading.
+  ``by_orbit_scaling`` reading, and all four compare the enumerated
+  dist_exc with a reconstruction in one shared check.
 * ``egf_snki``: the table of counts by (length, fixed points, cyclic
   valleys) extracted from an exponential generating function, computed
   radical-free as a truncated series in x over exact polynomials.
@@ -48,7 +49,7 @@ subcommand; ``claim_reports`` yields each claim's reports over its range.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -167,16 +168,24 @@ def brenti(ct: CycleType) -> MultiPoly:
     )
 
 
-def _theorem1_substitutions(order: int) -> tuple[TruncSeries, TruncSeries]:
-    """The series u(s,t), v(s,t) with radicand (1+t)^2 - 4st.
+def _eulerian_at(x: TruncSeries):
+    """d -> A_d(x), each factor built once."""
+    return lru_cache(maxsize=None)(lambda d: poly_at_series(eulerian(d), x))
+
+
+@lru_cache(maxsize=None)
+def _theorem1_series(order: int):
+    """Theorem 1's pair ((1+u)/(1+uv), d -> A_d(v)) at one truncation
+    order; it depends on no class, so each order builds it once per
+    process. The series u(s,t), v(s,t) have radicand (1+t)^2 - 4st:
 
     u = (1 + t^2 - 2st - (1-t) R) / (2 (1-s) t),
     v = ((1+t)^2 - 2st - (1+t) R) / (2 s t),      R = sqrt((1+t)^2 - 4st).
 
     Both numerators are divisible by the monomials below them, so the
     quotients are honest power series; dividing by t (and s) reduces the
-    carried truncation order, which is why its one caller, the per-order
-    cache :func:`_theorem1_series`, asks for a little headroom.
+    carried truncation order, which is why :func:`theorem1_joint` asks
+    for a little headroom.
     """
     s = MultiPoly.s()
     t = MultiPoly.t()
@@ -190,19 +199,6 @@ def _theorem1_substitutions(order: int) -> tuple[TruncSeries, TruncSeries]:
 
     v_num = ((one + t) ** 2 - 2 * s * t) - (one + t) * root
     v = v_num.extract_s_factor().extract_t_factor() / 2
-    return u, v
-
-
-def _eulerian_at(x: TruncSeries):
-    """d -> A_d(x), each factor built once."""
-    return lru_cache(maxsize=None)(lambda d: poly_at_series(eulerian(d), x))
-
-
-@lru_cache(maxsize=None)
-def _theorem1_series(order: int):
-    """Theorem 1's pair (core, d -> A_d(v)) at one truncation order; it
-    depends on no class, so each order builds it once per process."""
-    u, v = _theorem1_substitutions(order)
     return (1 + u) / (1 + u * v), _eulerian_at(v)
 
 
@@ -318,13 +314,11 @@ def theorem5_check(spec: ClassSpec) -> VerificationReport:
     ``theorem2_gamma(spec).by_orbit_scaling``, since
     c_i 4^i = 2^(n-k) c_i / 2^(n-k-2i).
     """
-    n, k = spec.n, spec.fixed_point_count
-    lhs = dist_exc(spec, route="enumerate") * 2 ** (n - k)
-    gammas = theorem2_gamma(spec).by_orbit_scaling
-    rhs = _reconstruction(spec, gammas) * 2 ** (n - k)
-    return VerificationReport(
-        claim="theorem5", instance=spec.instance(), lhs=lhs, rhs=rhs
+    report = _reconstruction_check(
+        "theorem5", spec, theorem2_gamma(spec).by_orbit_scaling
     )
+    scale = 2 ** (spec.n - spec.fixed_point_count)
+    return replace(report, lhs=report.lhs * scale, rhs=report.rhs * scale)
 
 
 @dataclass(frozen=True)
@@ -375,6 +369,18 @@ def _reconstruction(spec: ClassSpec, gammas) -> MultiPoly:
     return GammaExpansion(spec.n - spec.fixed_point_count, gammas).reconstruct()
 
 
+def _reconstruction_check(claim: str, spec: ClassSpec, gammas) -> VerificationReport:
+    """The one comparison of the enumerated dist_exc(spec) with the
+    reconstruction from ``gammas``, shared by Theorems 2 and 5 and
+    Corollaries 3 and 4."""
+    return VerificationReport(
+        claim,
+        spec.instance(),
+        lhs=dist_exc(spec, route="enumerate"),
+        rhs=_reconstruction(spec, gammas),
+    )
+
+
 def theorem2_check(spec: ClassSpec) -> VerificationReport:
     """Report form of :func:`theorem2_gamma`: dist_exc against the
     reconstruction from the no-double-ascent counts, with the two gamma
@@ -385,18 +391,15 @@ def theorem2_check(spec: ClassSpec) -> VerificationReport:
     differ, the report compares those reconstructions directly so the
     witness points at the discrepancy.
     """
-    instance = spec.instance()
     data = theorem2_gamma(spec)
-    rec_no_dasc = _reconstruction(spec, data.by_no_double_ascent)
-    rec_scaled = _reconstruction(spec, data.by_orbit_scaling)
-    if rec_no_dasc != rec_scaled:
+    if data.by_no_double_ascent != data.by_orbit_scaling:
         return VerificationReport(
-            claim="theorem2", instance=instance, lhs=rec_no_dasc, rhs=rec_scaled
+            "theorem2",
+            spec.instance(),
+            lhs=_reconstruction(spec, data.by_no_double_ascent),
+            rhs=_reconstruction(spec, data.by_orbit_scaling),
         )
-    lhs = dist_exc(spec, route="enumerate")
-    return VerificationReport(
-        claim="theorem2", instance=instance, lhs=lhs, rhs=rec_no_dasc
-    )
+    return _reconstruction_check("theorem2", spec, data.by_no_double_ascent)
 
 
 def corollary2_check(ct: CycleType) -> VerificationReport:
@@ -429,22 +432,14 @@ def corollary3_check(n: int, k: int) -> VerificationReport:
     """Excedance distribution over the k-fixed-point stratum against
     sum_i count(n,k,i)/2^(n-k-2i) * t^i (1+t)^(n-k-2i)."""
     spec = ClassSpec.with_fixed_points(n, k)
-    lhs = dist_exc(spec, route="enumerate")
-    rhs = _reconstruction(spec, theorem2_gamma(spec).by_orbit_scaling)
-    return VerificationReport(
-        claim="cor3", instance=spec.instance(), lhs=lhs, rhs=rhs
-    )
+    return _reconstruction_check("cor3", spec, theorem2_gamma(spec).by_orbit_scaling)
 
 
 def corollary4_check(n: int, k: int, i: int) -> VerificationReport:
     """Excedance distribution over a single (fixed points, valleys) cell
     against count/2^(n-k-2i) * t^i (1+t)^(n-k-2i)."""
     spec = ClassSpec.with_fixed_points_and_valleys(n, k, i)
-    lhs = dist_exc(spec, route="enumerate")
-    rhs = _reconstruction(spec, theorem2_gamma(spec).by_orbit_scaling)
-    return VerificationReport(
-        claim="cor4", instance=spec.instance(), lhs=lhs, rhs=rhs
-    )
+    return _reconstruction_check("cor4", spec, theorem2_gamma(spec).by_orbit_scaling)
 
 
 def _egf_denominator_coefficient(j: int) -> MultiPoly:

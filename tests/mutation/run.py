@@ -1,0 +1,166 @@
+"""Mutation runner: does tier-1 catch a deliberate fault?
+
+Each catalogue entry names a file, a snippet of its text, the text that
+replaces it, and the expected outcome: ``killed`` (some tier-1 test must
+fail) or ``equivalent`` (the mutant computes the same results, for the
+reason given). For each entry the runner copies the repository to a
+temporary directory, applies the mutant there and runs tier-1 with
+``-x``; the working tree is never modified.
+
+    python3 tests/mutation/run.py
+
+prints one line per mutant, with the first test that killed it, then
+the killed, survived and equivalent counts. The exit status is 0 when
+every mutant behaved as the catalogue expects, 1 otherwise. pytest does
+not collect this file, so tier-1 never runs it.
+"""
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+IGNORED = shutil.ignore_patterns(
+    ".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info"
+)
+TIMEOUT_S = 900  # a suite that hangs on a mutant counts as killing it
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str
+    old: str
+    new: str
+    expect: str  # "killed" or "equivalent"
+    reason: str
+
+
+CATALOGUE = (
+    Mutant(
+        "theorem2-orbit-size",
+        "src/cyclestat/formulas.py",
+        "2 ** (n - k - 2 * cval)",
+        "2 ** (n - k - cval)",
+        "killed",
+        "the orbit of a member with i cyclic valleys has 2^(n-k-2i) members",
+    ),
+    Mutant(
+        "theorem5-one-sided-scale",
+        "src/cyclestat/formulas.py",
+        "rhs=report.rhs * scale",
+        "rhs=report.rhs",
+        "killed",
+        "Theorem 5 clears both sides by 2^(n-k)",
+    ),
+    Mutant(
+        "cor3-no-double-ascent-reading",
+        "src/cyclestat/formulas.py",
+        '_reconstruction_check("cor3", spec, theorem2_gamma(spec).by_orbit_scaling)',
+        '_reconstruction_check("cor3", spec, theorem2_gamma(spec).by_no_double_ascent)',
+        "equivalent",
+        "both readings give the same polynomial whenever Theorem 2 holds",
+    ),
+    Mutant(
+        "theorem2-readings-unchecked",
+        "src/cyclestat/formulas.py",
+        "if data.by_no_double_ascent != data.by_orbit_scaling:",
+        "if False:",
+        "killed",
+        "Theorem 2 requires the two gamma readings to agree",
+    ),
+    Mutant(
+        "main-bad-input-exit-fail",
+        "src/cyclestat/cli.py",
+        'print(f"error: {err}", file=sys.stderr)\n        return EXIT_USAGE',
+        'print(f"error: {err}", file=sys.stderr)\n        return EXIT_FAIL',
+        "killed",
+        "bad input exits 2; 1 is kept for a failed check",
+    ),
+    Mutant(
+        "snki-empty-range-calls-egf",
+        "src/cyclestat/cli.py",
+        "egf_snki(args.n_max) if args.n_max >= 1 else {}",
+        "egf_snki(args.n_max)",
+        "killed",
+        "table snki --n-max 0 is an empty table, not a traceback",
+    ),
+    Mutant(
+        "formulas-private-import",
+        "src/cyclestat/formulas.py",
+        "from .enumeration import (\n",
+        "from .enumeration import (\n    _check_cap,\n",
+        "killed",
+        "formulas must not import private enumeration names",
+    ),
+)
+
+FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
+
+
+def apply(mutant: Mutant, root: Path) -> None:
+    path = root / mutant.path
+    text = path.read_text()
+    if text.count(mutant.old) != 1:
+        raise SystemExit(f"{mutant.name}: text to mutate not found once in {mutant.path}")
+    path.write_text(text.replace(mutant.old, mutant.new))
+
+
+def run_tier1(root: Path) -> tuple[bool, str | None]:
+    """(passed, first failing test) of tier-1 with -x in ``root``."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH="src" + os.pathsep + path if path else "src")
+    command = [
+        sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+        "--continue-on-collection-errors",
+    ]
+    try:
+        done = subprocess.run(
+            command, cwd=root, env=env, capture_output=True, text=True,
+            timeout=TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return False, f"timeout after {TIMEOUT_S} s"
+    if done.returncode == 0:
+        return True, None
+    match = FAILED.search(done.stdout)
+    return False, match.group(1) if match else f"exit {done.returncode}"
+
+
+def main() -> int:
+    start = time.perf_counter()
+    tally = {"killed": 0, "survived": 0, "equivalent": 0}
+    unexpected = 0
+    for mutant in CATALOGUE:
+        with tempfile.TemporaryDirectory(prefix="cyclestat-mutant-") as tmp:
+            root = Path(tmp) / "repo"
+            shutil.copytree(ROOT, root, ignore=IGNORED)
+            apply(mutant, root)
+            passed, killer = run_tier1(root)
+        if not passed:
+            outcome = "killed"
+        elif mutant.expect == "equivalent":
+            outcome = "equivalent"
+        else:
+            outcome = "survived"
+        tally[outcome] += 1
+        unexpected += outcome != mutant.expect
+        detail = f"by {killer}" if killer else mutant.reason
+        print(f"{outcome:10} {mutant.name}: {detail}", flush=True)
+    wall = time.perf_counter() - start
+    print(
+        f"killed {tally['killed']}, survived {tally['survived']}, "
+        f"equivalent {tally['equivalent']}; {unexpected} unexpected; {wall:.1f} s"
+    )
+    return 1 if unexpected else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
