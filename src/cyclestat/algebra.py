@@ -12,17 +12,18 @@ by exponent pairs (deg_s, deg_t). Univariate polynomials in t are simply
 the members with no s. ``TruncSeries`` is a ``MultiPoly`` plus a
 truncation order, the quotient of that ring by total degree: all terms
 with deg_s + deg_t > order are discarded, which makes units invertible
-and series with constant term 1 admit square roots. The ring operations
-are written once, in ``MultiPoly``; a series adds only its truncating
-product, how orders combine (mixing gives the smaller order), inverse,
-division, square root and the order-lowering factor extractions. Inverse
-and square root are solved one total degree at a time, and the square
-root divides only by 2, so an integral radicand whose root is integral
-never builds a ``Fraction``. It
-exists to evaluate substitution formulas whose closed forms contain
-radicals; whenever the represented function is actually a polynomial,
-``to_poly`` recovers it and loudly rejects leftover high-order terms
-(the sign of a too-small truncation order).
+and series with constant term 1 admit square roots. The ring operations,
+scalar products and division by s or t are written once, in
+``MultiPoly``; a series adds only its truncating product with another
+polynomial, how orders combine (mixing gives the smaller order), inverse,
+division, square root, and the order it loses in a division by s or t.
+Inverse and square root are solved one total degree at a time, and the
+square root divides only by 2, so an integral radicand whose root is
+integral never builds a ``Fraction``. It exists to evaluate substitution
+formulas whose closed forms contain radicals; whenever the represented
+function is actually a polynomial, ``to_poly`` recovers it and loudly
+rejects leftover high-order terms (the sign of a too-small truncation
+order).
 
 ``eulerian(n)`` is the classic descent-counting polynomial, normalized so
 that the lowest term is t^1 for n >= 1 (and 1 for n = 0); it is computed
@@ -231,7 +232,7 @@ class MultiPoly:
 
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
-            return MultiPoly(
+            return self._new(
                 {key: value * other for key, value in self._terms.items()}
             )
         if not isinstance(other, MultiPoly):
@@ -273,11 +274,15 @@ class MultiPoly:
             total += c * s_value**ds * t_value**dt
         return total
 
+    def _divided(self, ds: int, dt: int) -> dict[Exponents, Scalar]:
+        """The terms of self / (s^ds t^dt); every term must be divisible."""
+        if any(a < ds or b < dt for a, b in self._terms):
+            raise ValueError(f"not divisible by {MultiPoly.monomial(ds, dt)}")
+        return {(a - ds, b - dt): c for (a, b), c in self._terms.items()}
+
     def extract_t_factor(self) -> "MultiPoly":
         """Divide by t; every term must have deg_t >= 1."""
-        if any(dt == 0 for _, dt in self._terms):
-            raise ValueError("not divisible by t")
-        return MultiPoly({(ds, dt - 1): c for (ds, dt), c in self._terms.items()})
+        return MultiPoly(self._divided(0, 1))
 
     # -- rendering ----------------------------------------------------
 
@@ -346,6 +351,14 @@ def eulerian(n: int) -> MultiPoly:
     return MultiPoly({(0, j + 1): c for j, c in enumerate(_descent_counts(n)) if c})
 
 
+_ONE_PLUS_T = MultiPoly({(0, 0): 1, (0, 1): 1})
+
+
+def _gamma_term(g: Scalar, i: int, m: int) -> MultiPoly:
+    """g * t^i * (1+t)^(m-2i), one term of a gamma expansion about m/2."""
+    return MultiPoly.monomial(0, i, g) * _ONE_PLUS_T ** (m - 2 * i)
+
+
 @dataclass(frozen=True)
 class GammaExpansion:
     """A polynomial written as sum of gamma_i * t^i * (1+t)^(m-2i).
@@ -366,13 +379,10 @@ class GammaExpansion:
         return all(g.denominator == 1 for g in self.gammas)
 
     def reconstruct(self) -> MultiPoly:
-        one_plus_t = MultiPoly.one() + MultiPoly.t()
         total = MultiPoly.zero()
         for i, g in enumerate(self.gammas):
             if g:
-                total = total + (
-                    MultiPoly.monomial(0, i, g) * one_plus_t ** (self.center_numerator - 2 * i)
-                )
+                total = total + _gamma_term(g, i, self.center_numerator)
         return total
 
 
@@ -395,14 +405,13 @@ def gamma_expand(f: MultiPoly, center_numerator: int) -> GammaExpansion:
         raise GammaExpansionError(
             f"degree {f.t_degree()} exceeds center numerator {m}", f
         )
-    one_plus_t = MultiPoly.one() + MultiPoly.t()
     residual = f
     gammas = []
     for i in range(m // 2 + 1):
         g = residual._terms.get((0, i), 0)
         gammas.append(Fraction(g))
         if g:
-            residual = residual - MultiPoly.monomial(0, i, g) * one_plus_t ** (m - 2 * i)
+            residual = residual - _gamma_term(g, i, m)
     if not residual.is_zero():
         raise GammaExpansionError(
             f"polynomial is not symmetric about {m}/2", residual
@@ -415,9 +424,10 @@ class TruncSeries(MultiPoly):
 
     A ``MultiPoly`` plus a truncation order: all terms with
     deg_s + deg_t > order are identified with zero, so the arithmetic is
-    exact in the quotient ring. The ring operations are ``MultiPoly``'s;
-    combining a series with a polynomial, a scalar or another series
-    gives a series at the smaller order, on either side.
+    exact in the quotient ring. The ring operations, scalar products and
+    factor extractions are ``MultiPoly``'s; combining a series with a
+    polynomial, a scalar or another series gives a series at the smaller
+    order, on either side.
 
     >>> one = TruncSeries.from_poly(MultiPoly.one(), 3)
     >>> t = TruncSeries.from_poly(MultiPoly.t(), 3)
@@ -461,14 +471,8 @@ class TruncSeries(MultiPoly):
     # -- arithmetic ----------------------------------------------------
 
     def __mul__(self, other) -> "TruncSeries":
-        if isinstance(other, (int, Fraction)):
-            return TruncSeries(
-                {key: value * other for key, value in self._terms.items()},
-                self.order,
-            )
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, MultiPoly):
+            return super().__mul__(other)
         order = self._meet(other).order
         # The right factor's terms by total degree, so that each left term
         # meets only those that keep the product within the order.
@@ -561,16 +565,11 @@ class TruncSeries(MultiPoly):
 
     def extract_t_factor(self) -> "TruncSeries":
         """Divide by t, reducing the truncation order by one."""
-        return TruncSeries(MultiPoly.extract_t_factor(self)._terms, self.order - 1)
+        return TruncSeries(self._divided(0, 1), self.order - 1)
 
     def extract_s_factor(self) -> "TruncSeries":
         """Divide by s, reducing the truncation order by one."""
-        if any(ds == 0 for ds, _ in self._terms):
-            raise ValueError("series is not divisible by s")
-        return TruncSeries(
-            {(ds - 1, dt): c for (ds, dt), c in self._terms.items()},
-            self.order - 1,
-        )
+        return TruncSeries(self._divided(1, 0), self.order - 1)
 
     def to_poly(self, max_total_degree: int) -> MultiPoly:
         """Interpret the series as a polynomial of bounded total degree.

@@ -63,6 +63,18 @@ DEFAULT_CLASS_CAP = 10**8
 class ClassTooLargeError(RuntimeError):
     """Enumeration refused: the class exceeds the configured member cap."""
 
+    @classmethod
+    def check(cls, members: int, what: str, *args) -> None:
+        """Raise unless ``members`` is within :func:`class_cap`.
+
+        The message names ``what % args``, formatted only when raising (as
+        ``logging`` does), so that a walk over many small orbits pays
+        nothing for it.
+        """
+        cap = class_cap()
+        if members > cap:
+            raise cls(f"{what % args} has {members} members, above the cap of {cap}")
+
 
 def _partition_lists(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
     if n == 0:
@@ -173,11 +185,7 @@ class ClassSpec:
             unknown = set(fields) - {"n", "k", "i"}
             if unknown or "n" not in fields or "k" not in fields:
                 raise ValueError(f"expected n=..,k=..[,i=..], got {text!r}")
-            if "i" in fields:
-                return cls.with_fixed_points_and_valleys(
-                    fields["n"], fields["k"], fields["i"]
-                )
-            return cls.with_fixed_points(fields["n"], fields["k"])
+            return cls(n=fields["n"], fixed_points=fields["k"], cval=fields.get("i"))
         return cls.of_cycle_type(CycleType.from_text(text))
 
     # -- structure ----------------------------------------------------
@@ -215,9 +223,7 @@ class ClassSpec:
     def __str__(self) -> str:
         if self.cycle_type is not None:
             return str(self.cycle_type)
-        if self.cval is None:
-            return f"n={self.n},k={self.fixed_points}"
-        return f"n={self.n},k={self.fixed_points},i={self.cval}"
+        return ",".join(f"{key}={value}" for key, value in self.instance().items())
 
 
 def class_cap() -> int:
@@ -231,15 +237,6 @@ def class_cap() -> int:
             f"CYCLESTAT_CLASS_CAP must be a nonnegative integer, got {raw!r}"
         )
     return int(raw)
-
-
-def _check_cap(spec: ClassSpec) -> None:
-    cap = class_cap()
-    bound = spec.member_bound()
-    if bound > cap:
-        raise ClassTooLargeError(
-            f"{spec} has {bound} members, above the cap of {cap}"
-        )
 
 
 def _cycle_joint_stats(anchor: int, arrangement: tuple[int, ...]) -> tuple[int, int]:
@@ -396,7 +393,7 @@ def _class_counts(spec: ClassSpec, route: str) -> dict[tuple[int, int], int]:
     if route == "factorize":
         per_class = _factorized_counts
     else:
-        _check_cap(spec)
+        ClassTooLargeError.check(spec.member_bound(), "%s", spec)
         per_class = _enumerated_counts
     combined: dict[tuple[int, int], int] = {}
     for ct in spec.cycle_types():
@@ -407,7 +404,7 @@ def _class_counts(spec: ClassSpec, route: str) -> dict[tuple[int, int], int]:
 
 
 def _members(spec: ClassSpec) -> Iterator[tuple[tuple[tuple[int, ...], ...], int, int]]:
-    _check_cap(spec)
+    ClassTooLargeError.check(spec.member_bound(), "%s", spec)
     for ct in spec.cycle_types():
         for cycles, cval, exc in _iter_cycle_lists(tuple(range(1, ct.n + 1)), ct.parts):
             if spec.cval is None or cval == spec.cval:

@@ -71,7 +71,6 @@ from .enumeration import (
     dist_joint,
     joint_counts,
     orbit_representatives,
-    partitions_of,
 )
 from .hopping import orbit
 from .permutations import CycleType, Permutation, stat_counts
@@ -518,7 +517,8 @@ CLAIMS = (
 
 def claim_reports(claim: str, n_max: int, lambdas: list[CycleType]):
     """Yield one VerificationReport per checked instance of the claim: per
-    class of ``lambdas``, per (n, k) stratum or (n, k, i) cell, per orbit
+    class of ``lambdas`` or, for ``lemma1``, per orbit of each class of
+    ``lambdas`` but the empty one; per (n, k) stratum or (n, k, i) cell,
     or per n, with 1 <= n <= n_max. Raises ValueError for an unknown claim.
     """
     specs = [ClassSpec.of_cycle_type(ct) for ct in lambdas]
@@ -536,9 +536,8 @@ def claim_reports(claim: str, n_max: int, lambdas: list[CycleType]):
     elif claim == "cor2":
         yield from map(corollary2_check, lambdas)
     elif claim == "lemma1":
-        for n in range(1, n_max + 1):
-            for ct in partitions_of(n):
-                spec = ClassSpec.of_cycle_type(ct)
+        for spec in specs:
+            if spec.n:
                 yield from map(lemma1_check, orbit_representatives(spec))
     elif claim in ("theorem2", "theorem4", "theorem5"):
         check = {

@@ -43,7 +43,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .algebra import MultiPoly
-from .enumeration import ClassTooLargeError, class_cap
+from .enumeration import ClassTooLargeError
 from .permutations import (
     Permutation,
     left_to_right_maxima,
@@ -251,11 +251,8 @@ def orbit(p: Permutation, collect_members: bool = False) -> OrbitReport:
     """
     sets = stat_sets(p)
     toggles = sorted(sets.cdasc_set | sets.cddes_set)
-    walk, cap = 1 << len(toggles), class_cap()
-    if walk > cap:
-        raise ClassTooLargeError(
-            f"the orbit of {p} has {walk} members, above the cap of {cap}"
-        )
+    walk = 1 << len(toggles)
+    ClassTooLargeError.check(walk, "the orbit of %s", p)
     nxt, prv = _links(p.word)
     words = {p.word}
     for step in range(1, walk):

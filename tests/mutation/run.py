@@ -96,9 +96,57 @@ CATALOGUE = (
         "formulas-private-import",
         "src/cyclestat/formulas.py",
         "from .enumeration import (\n",
-        "from .enumeration import (\n    _check_cap,\n",
+        "from .enumeration import (\n    _class_counts,\n",
         "killed",
         "formulas must not import private enumeration names",
+    ),
+    Mutant(
+        "scalar-product-drops-order",
+        "src/cyclestat/algebra.py",
+        "return self._new(\n                {key: value * other",
+        "return MultiPoly(\n                {key: value * other",
+        "killed",
+        "a series times a scalar is a series at the same order",
+    ),
+    Mutant(
+        "extract-s-divides-by-t",
+        "src/cyclestat/algebra.py",
+        "self._divided(1, 0)",
+        "self._divided(0, 1)",
+        "killed",
+        "extract_s_factor divides by s",
+    ),
+    Mutant(
+        "gamma-term-exponent",
+        "src/cyclestat/algebra.py",
+        "_ONE_PLUS_T ** (m - 2 * i)",
+        "_ONE_PLUS_T ** (m - i)",
+        "killed",
+        "the gamma basis is t^i (1+t)^(m-2i)",
+    ),
+    Mutant(
+        "guardrail-at-cap",
+        "src/cyclestat/enumeration.py",
+        "if members > cap:",
+        "if members >= cap:",
+        "killed",
+        "a class or orbit of exactly the cap is allowed",
+    ),
+    Mutant(
+        "stratum-label-separator",
+        "src/cyclestat/enumeration.py",
+        'return ",".join(f"{key}={value}"',
+        'return ";".join(f"{key}={value}"',
+        "killed",
+        "a stratum prints as the text ClassSpec.parse reads back",
+    ),
+    Mutant(
+        "parse-drops-cval",
+        "src/cyclestat/enumeration.py",
+        'cval=fields.get("i")',
+        "cval=None",
+        "killed",
+        "n=..,k=..,i=.. names a cell, not its stratum",
     ),
 )
 

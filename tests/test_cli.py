@@ -175,6 +175,19 @@ class TestVerify:
             "verdict": "pass",
         }
 
+    def test_all_on_one_class(self, capsys):
+        code, out, err = run(capsys, "verify", "all", "--lambda", "1,2,2")
+        assert code == EXIT_OK and not err
+        records = [json.loads(line) for line in out.splitlines()]
+        assert all(r["verdict"] == "pass" for r in records)
+        # cor3, cor4 and egf, whose instances are not classes, are left out.
+        assert {r["claim"] for r in records} == {
+            "brenti", "theorem1", "lemma1", "theorem2",
+            "theorem4", "theorem5", "theorem6", "cor2",
+        }
+        # One lemma1 record per orbit: the 15 members each form their own.
+        assert len(records) == 7 + 15
+
     def test_malformed_lambda_is_a_usage_error(self, capsys):
         code, out, err = run(capsys, "verify", "brenti", "--lambda", "0")
         assert code == EXIT_USAGE
@@ -222,7 +235,7 @@ class TestVerify:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("verify", "lemma1", "--lambda", "3"),
+            ("verify", "cor3", "--lambda", "3"),
             ("verify", "egf", "--lambda", "3"),
             ("verify", "theorem1", "--n-max", "-1"),
         ],

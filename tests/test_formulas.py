@@ -13,6 +13,7 @@ from cyclestat.enumeration import (
     dist_cval,
     dist_exc,
     dist_joint,
+    joint_counts,
     orbit_representatives,
     partitions_of,
 )
@@ -158,6 +159,36 @@ class TestBeyondEnumeration:
     def test_random_classes_to_fourteen(self, ct):
         self.assert_routes_agree(ct)
         assert brenti(ct) == dist_exc(ClassSpec.of_cycle_type(ct)), ct
+
+    def test_egf_every_cell_to_twenty(self):
+        """All 945 (n, k, i) cells with n <= 20 against one factorized
+        count per (n, k) stratum, split by cval; an empty cell is absent
+        from both sides."""
+        counted = {}
+        for n in range(1, 21):
+            for k in range(n + 1):
+                for (i, _), count in joint_counts(ClassSpec.with_fixed_points(n, k)).items():
+                    counted[(n, k, i)] = counted.get((n, k, i), 0) + count
+        assert egf_snki(20) == counted
+
+    def test_theorem2_and_corollary2_every_class_to_fourteen(self):
+        """Brenti's product read in the gamma basis against the factorized
+        members without a cyclic double ascent, and each s^i row of the
+        factorized joint distribution against its gamma term."""
+        classes = 0
+        for n in range(1, 15):
+            for ct in partitions_of(n):
+                spec = ClassSpec.of_cycle_type(ct)
+                m = n - ct.fixed_point_count
+                counts = joint_counts(spec)
+                gammas = [counts.get((i, i), 0) for i in range(m // 2 + 1)]
+                assert gamma_expand(brenti(ct), m).gammas == tuple(gammas), ct
+                joint = dist_joint(spec)
+                for i, gamma in enumerate(gammas):
+                    row = gamma * T**i * (1 + T) ** (m - 2 * i)
+                    assert joint.coefficient_of_s(i) == row, (ct, i)
+                classes += 1
+        assert classes == 507
 
 
 class TestLemma1:
