@@ -85,9 +85,13 @@ def _partition_lists(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
+@lru_cache(maxsize=None)
 def partitions_of(n: int) -> tuple[CycleType, ...]:
     """All partitions of n, in decreasing lexicographic order of their
     decreasing part-lists: (4), (3,1), (2,2), (2,1,1), (1,1,1,1).
+
+    Cached, since every stratum spec asks for them: the result is a
+    tuple of frozen ``CycleType`` values, so callers share it safely.
 
     >>> [str(ct) for ct in partitions_of(4)]
     ['(4)', '(1,3)', '(2,2)', '(1,1,2)', '(1,1,1,1)']

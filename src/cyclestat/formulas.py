@@ -51,7 +51,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, factorial
 
 from .algebra import (
@@ -105,14 +105,20 @@ def _first_difference(lhs: MultiPoly, rhs: MultiPoly):
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of checking one identity instance: pass iff lhs == rhs."""
+    """Outcome of checking one identity instance: pass iff lhs == rhs.
+
+    ``passed`` is computed once per report and cached: both sides are
+    immutable, so every later reading (``verdict``, the JSON record)
+    sees the same comparison. ``dataclasses.replace`` builds a new
+    report, which compares its own sides afresh.
+    """
 
     claim: str
     instance: dict
     lhs: MultiPoly
     rhs: MultiPoly
 
-    @property
+    @cached_property
     def passed(self) -> bool:
         return self.lhs == self.rhs
 
@@ -265,18 +271,35 @@ def _profile_terms(m: int, cval: int, exc: int) -> tuple[MultiPoly, MultiPoly]:
     return lhs, rhs
 
 
+@lru_cache(maxsize=None)
+def _cleared_sides(
+    m: int, counts: frozenset[tuple[tuple[int, int], int]]
+) -> tuple[MultiPoly, MultiPoly]:
+    """The two sides of :func:`lemma1_check`'s identity over members
+    counted by (cval, exc): each profile's memoized terms, scaled and
+    added into one term dict per side.
+
+    The sides are a function of m and the counts alone, and few distinct
+    pairs occur (17 over every orbit of S_1..S_8), so each is built once
+    per process. The key is the measured counts themselves, so an orbit
+    whose members measure differently gets its own sides."""
+    lhs, rhs = {}, {}
+    for (cval, exc), mult in counts:
+        for acc, term in zip((lhs, rhs), _profile_terms(m, cval, exc)):
+            for key, value in term._terms.items():
+                acc[key] = acc.get(key, 0) + value * mult
+    return MultiPoly(lhs), MultiPoly(rhs)
+
+
 def _cleared_identity(
     claim: str, instance: dict, counts: dict[tuple[int, int], int], m: int
 ) -> VerificationReport:
     """The identity of :func:`lemma1_check` over members counted by
-    (cval, exc): each profile's memoized terms, scaled and added into one
-    term dict per side."""
-    lhs, rhs = {}, {}
-    for (cval, exc), mult in counts.items():
-        for acc, term in zip((lhs, rhs), _profile_terms(m, cval, exc)):
-            for key, value in term._terms.items():
-                acc[key] = acc.get(key, 0) + value * mult
-    return VerificationReport(claim, instance, lhs=MultiPoly(lhs), rhs=MultiPoly(rhs))
+    (cval, exc), as a report. Lemma 1 and Theorem 4 share the memoized
+    sides of :func:`_cleared_sides`; both are immutable, so sharing them
+    between reports is exact."""
+    lhs, rhs = _cleared_sides(m, frozenset(counts.items()))
+    return VerificationReport(claim, instance, lhs=lhs, rhs=rhs)
 
 
 def lemma1_check(sigma: Permutation) -> VerificationReport:
@@ -287,7 +310,9 @@ def lemma1_check(sigma: Permutation) -> VerificationReport:
       = sum over the orbit of
         (s+t)^(exc-cval) (1+st)^(m-cval-exc) t^cval (1+s)^(2 cval),
 
-    checked with the orbit's members grouped by (cval, exc).
+    checked with the orbit's members grouped by (cval, exc). Every
+    orbit is walked and every member measured; only the two sides built
+    from the resulting counts are memoized, per (m, counts).
     """
     report = orbit(sigma, collect_members=True)
     counts = Counter((c.cval, c.exc) for c in map(stat_counts, report.members))

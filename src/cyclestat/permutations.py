@@ -252,16 +252,6 @@ class StatSets:
     cddes_set: frozenset[int]
     fix_set: frozenset[int]
 
-    def counts(self) -> StatCounts:
-        return StatCounts(
-            exc=len(self.exc_set),
-            cval=len(self.cval_set),
-            cpk=len(self.cpk_set),
-            cdasc=len(self.cdasc_set),
-            cddes=len(self.cddes_set),
-            fix=len(self.fix_set),
-        )
-
 
 def _cycles_of_word(word: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Canonical cycles of a one-line word (largest letter leads each cycle)."""
@@ -331,16 +321,11 @@ def des(p: Permutation) -> int:
     return sum(1 for i in range(len(w) - 1) if w[i] > w[i + 1])
 
 
-def stat_sets(p: Permutation) -> StatSets:
-    """Classify every letter of p.
-
-    >>> p = from_one_line([5, 1, 7, 3, 2, 6, 11, 8, 10, 4, 9])
-    >>> s = stat_sets(p)
-    >>> sorted(s.exc_set), sorted(s.cval_set)
-    ([1, 3, 7, 9], [1, 3, 9])
-    >>> sorted(s.cpk_set), sorted(s.cdasc_set), sorted(s.cddes_set), sorted(s.fix_set)
-    ([5, 10, 11], [7], [2, 4], [6, 8])
-    """
+def _letter_classes(p: Permutation) -> tuple[list[int], ...]:
+    """The letters of p in the six classes, in ``StatSets`` field order:
+    excedances, cyclic valleys, peaks, double ascents, double descents
+    and fixed points, each list increasing. The one classification loop,
+    which :func:`stat_sets` and :func:`stat_counts` both read."""
     nxt, prv = _links(p.word)
     exc, cval, cpk, cdasc, cddes, fix = [], [], [], [], [], []
     for i in range(1, p.n + 1):
@@ -359,23 +344,33 @@ def stat_sets(p: Permutation) -> StatSets:
                 cpk.append(i)
             else:
                 cddes.append(i)
-    return StatSets(
-        exc_set=frozenset(exc),
-        cval_set=frozenset(cval),
-        cpk_set=frozenset(cpk),
-        cdasc_set=frozenset(cdasc),
-        cddes_set=frozenset(cddes),
-        fix_set=frozenset(fix),
-    )
+    return exc, cval, cpk, cdasc, cddes, fix
+
+
+def stat_sets(p: Permutation) -> StatSets:
+    """Classify every letter of p: the lists of :func:`_letter_classes`,
+    frozen.
+
+    >>> p = from_one_line([5, 1, 7, 3, 2, 6, 11, 8, 10, 4, 9])
+    >>> s = stat_sets(p)
+    >>> sorted(s.exc_set), sorted(s.cval_set)
+    ([1, 3, 7, 9], [1, 3, 9])
+    >>> sorted(s.cpk_set), sorted(s.cdasc_set), sorted(s.cddes_set), sorted(s.fix_set)
+    ([5, 10, 11], [7], [2, 4], [6, 8])
+    """
+    return StatSets(*map(frozenset, _letter_classes(p)))
 
 
 def stat_counts(p: Permutation) -> StatCounts:
-    """Cardinalities of the six statistic sets.
+    """Cardinalities of the six statistic sets: the lengths of the lists
+    of :func:`_letter_classes`, so no set is built. No list repeats a
+    letter, so these are the sizes of the sets :func:`stat_sets` freezes
+    from the same lists.
 
     >>> stat_counts(from_one_line([2, 3, 1]))
     StatCounts(exc=2, cval=1, cpk=1, cdasc=1, cddes=0, fix=0)
     """
-    return stat_sets(p).counts()
+    return StatCounts(*map(len, _letter_classes(p)))
 
 
 def left_to_right_maxima(word: Sequence[int]) -> frozenset[int]:

@@ -148,6 +148,112 @@ CATALOGUE = (
         "killed",
         "n=..,k=..,i=.. names a cell, not its stratum",
     ),
+    Mutant(
+        "memo-key-ignores-counts",
+        "src/cyclestat/formulas.py",
+        "lhs, rhs = _cleared_sides(m, frozenset(counts.items()))",
+        "lhs, rhs = _cleared_sides.__dict__.setdefault("
+        "m, _cleared_sides(m, frozenset(counts.items())))",
+        "killed",
+        "the cleared sides depend on the measured counts, not on m alone",
+    ),
+    Mutant(
+        "stat-counts-wrong-list",
+        "src/cyclestat/permutations.py",
+        "return StatCounts(*map(len, _letter_classes(p)))",
+        "exc, cval, cpk, cdasc, cddes, fix = map(len, _letter_classes(p))\n"
+        "    return StatCounts(exc, cval, cpk, cdasc, cdasc, fix)",
+        "killed",
+        "each count is the length of its own class's list",
+    ),
+    Mutant(
+        "cycle-dp-descent-slot",
+        "src/cyclestat/enumeration.py",
+        "((cpk, cdasc, cddes + 1), cpk),",
+        "((cpk, cdasc, cddes + 1), cddes),",
+        "killed",
+        "a new double descent comes from a slot just before a peak",
+    ),
+    Mutant(
+        "sqrt-cross-weight",
+        "src/cyclestat/algebra.py",
+        "_convolve(acc, g[i], g[d - i], -2)",
+        "_convolve(acc, g[i], g[d - i], -1)",
+        "killed",
+        "each unequal pair g_i g_(d-i) occurs twice in the square",
+    ),
+    Mutant(
+        "inverse-one-term-short",
+        "src/cyclestat/algebra.py",
+        "for i in range(1, d + 1):",
+        "for i in range(1, d):",
+        "killed",
+        "the inverse's degree-d part sums f_i g_(d-i) up to i = d",
+    ),
+    Mutant(
+        "brenti-multinomial-no-mult-factorial",
+        "src/cyclestat/formulas.py",
+        "denominator *= factorial(size) ** mult * factorial(mult)",
+        "denominator *= factorial(size) ** mult",
+        "killed",
+        "equal cycles are unordered: the multinomial divides by m_i!",
+    ),
+    Mutant(
+        "gamma-expand-one-short",
+        "src/cyclestat/algebra.py",
+        "for i in range(m // 2 + 1):",
+        "for i in range(m // 2):",
+        "killed",
+        "a gamma expansion about m/2 has floor(m/2) + 1 terms",
+    ),
+    Mutant(
+        "clean-order-boundary",
+        "src/cyclestat/algebra.py",
+        "if key[0] + key[1] > order:",
+        "if key[0] + key[1] >= order:",
+        "killed",
+        "a series of order d keeps its terms of total degree d",
+    ),
+    Mutant(
+        "verify-failed-check-exit-usage",
+        "src/cyclestat/cli.py",
+        "if failures:\n        return EXIT_FAIL",
+        "if failures:\n        return EXIT_USAGE",
+        "killed",
+        "a failed check exits 1; 2 is kept for bad input",
+    ),
+    Mutant(
+        "thm1-headroom-2",
+        "src/cyclestat/formulas.py",
+        "_theorem1_series(ct.n + 4)",
+        "_theorem1_series(ct.n + 2)",
+        "killed",
+        "Theorem 1's product must keep a degree above n for the residue check",
+    ),
+    Mutant(
+        "thm6-headroom-1",
+        "src/cyclestat/formulas.py",
+        "_theorem6_series(ct.n + 4)",
+        "_theorem6_series(ct.n + 1)",
+        "killed",
+        "Theorem 6's product must keep a degree above n for the residue check",
+    ),
+    Mutant(
+        "thm1-to-poly-slack",
+        "src/cyclestat/formulas.py",
+        'result.to_poly(ct.n), "theorem1_joint"',
+        'result.to_poly(ct.n + 1), "theorem1_joint"',
+        "killed",
+        "the joint distribution of a class of n letters has total degree <= n",
+    ),
+    Mutant(
+        "orbit-size-by-walk",
+        "src/cyclestat/hopping.py",
+        "size=len(words),",
+        "size=walk,",
+        "killed",
+        "an orbit's size counts the distinct members the walk meets",
+    ),
 )
 
 FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)

@@ -314,6 +314,17 @@ class TestVerify:
             "37906b6281de34b84b608f2d1987c81bf867316e32f82fb98038521155f79798"
         )
 
+    def test_verify_all_bytes_to_seven_twice(self, capsys):
+        # The benchmark's argv. The second run finds every process cache
+        # filled by the first, and must print the same bytes.
+        for _ in range(2):
+            code, out, _ = run(capsys, "verify", "all", "--n-max", "7")
+            assert code == EXIT_OK
+            assert len(out.splitlines()) == 2992
+            assert hashlib.sha256(out.encode()).hexdigest() == (
+                "dc90aecb6f9ebc3afefc86f247646d98174ee33ae964e24a5195b9f97da358f2"
+            )
+
 
 class TestTable:
     def test_eulerian_csv(self, capsys):

@@ -1,11 +1,19 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclestat.algebra import GammaExpansionError, MultiPoly, eulerian, gamma_expand
+from cyclestat import formulas
+from cyclestat.algebra import (
+    GammaExpansionError,
+    MultiPoly,
+    TruncationResidueError,
+    eulerian,
+    gamma_expand,
+)
 from cyclestat.enumeration import (
     ClassSpec,
     class_size,
@@ -36,9 +44,27 @@ from cyclestat.formulas import (
 )
 from cyclestat.permutations import CycleType, identity, parse_permutation
 
+from conftest import oracle_cval, oracle_exc
+
 S = MultiPoly.s()
 T = MultiPoly.t()
 ONE = MultiPoly.one()
+
+
+def pad_product(monkeypatch):
+    """Add t^(n+1) to every Brenti product of a class of n letters.
+
+    Only degree n + 1 shows this fault, so a closed form must carry that
+    degree in its series and must not take it into its polynomial. (A
+    monomial of degree n + 1 in the core would reach the product only
+    above degree n + 1: the factors A_d(x), d >= 1, have no constant
+    term.)"""
+    build = formulas._brenti_product
+
+    def padded(ct, core, factor):
+        return build(ct, core, factor) + T ** (ct.n + 1)
+
+    monkeypatch.setattr(formulas, "_brenti_product", padded)
 
 
 def cor2_expansions(ct):
@@ -88,6 +114,13 @@ class TestTheorem1:
                 spec = ClassSpec.of_cycle_type(ct)
                 assert theorem1_joint(ct) == dist_joint(spec, route="enumerate")
 
+    def test_residue_check_sees_degree_n_plus_1(self, monkeypatch):
+        # The product must keep a degree above n for to_poly(n) to read.
+        ct = CycleType((1, 3, 4))
+        pad_product(monkeypatch)
+        with pytest.raises(TruncationResidueError):
+            theorem1_joint(ct)
+
     def test_headline_class(self):
         ct = CycleType((1, 5, 5))
         poly = theorem1_joint(ct)
@@ -120,6 +153,12 @@ class TestTheorem6:
             for ct in partitions_of(n):
                 spec = ClassSpec.of_cycle_type(ct)
                 assert theorem6_cval(ct) == dist_cval(spec, route="enumerate")
+
+    def test_residue_check_sees_degree_n_plus_1(self, monkeypatch):
+        ct = CycleType((1, 3, 4))
+        pad_product(monkeypatch)
+        with pytest.raises(TruncationResidueError):
+            theorem6_cval(ct)
 
     def test_headline_class(self):
         assert theorem6_cval(CycleType((1, 5, 5))) == MultiPoly(
@@ -211,6 +250,45 @@ class TestLemma1:
             for ct in partitions_of(n):
                 for p in orbit_representatives(ClassSpec.of_cycle_type(ct)):
                     assert lemma1_check(p).passed
+
+    def test_memoized_sides_follow_the_measured_counts(self, monkeypatch):
+        # The first check memoizes sigma's two sides. An orbit missing a
+        # member has other counts, so it must get its own sides and fail
+        # at their first differing coefficient, not reuse the passing ones.
+        sigma = parse_permutation("(5,2,1)(6)(8)(11,9,10,4,3,7)")
+        assert lemma1_check(sigma).passed
+        walk = formulas.orbit
+
+        def short_orbit(p, collect_members=False):
+            report = walk(p, collect_members)
+            return replace(report, members=report.members[1:])
+
+        monkeypatch.setattr(formulas, "orbit", short_orbit)
+        report = lemma1_check(sigma)
+        assert not report.passed
+
+        m = sigma.n - 2  # two fixed points, 6 and 8
+        lhs = rhs = MultiPoly.zero()
+        for p in walk(sigma, collect_members=True).members[1:]:
+            exc, cval = oracle_exc(p.word), oracle_cval(p.word)
+            lhs = lhs + T**exc * (ONE + S) ** m
+            rhs = rhs + (
+                (S + T) ** (exc - cval)
+                * (ONE + S * T) ** (m - cval - exc)
+                * T**cval
+                * (ONE + S) ** (2 * cval)
+            )
+        assert (report.lhs, report.rhs) == (lhs, rhs)
+        first = min(
+            key
+            for key in lhs.terms.keys() | rhs.terms.keys()
+            if lhs.coefficient(*key) != rhs.coefficient(*key)
+        )
+        assert report.witness == {
+            "monomial": {"s": first[0], "t": first[1]},
+            "lhs": str(lhs.coefficient(*first)),
+            "rhs": str(rhs.coefficient(*first)),
+        }
 
 
 class TestTheorem2:

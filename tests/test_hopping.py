@@ -250,6 +250,22 @@ class TestOrbit:
                 assert no_dasc == [psi(p, stat_sets(p).cdasc_set)]
                 assert report.representative == no_dasc[0]
 
+    def test_size_counts_the_members_the_walk_meets(self, monkeypatch):
+        # A relink that never moves one toggle letter makes the walk meet
+        # each member twice; size must count them once, not the steps.
+        p = parse_permutation("(5,2,1)(6)(8)(11,9,10,4,3,7)")
+        sets = stat_sets(p)
+        toggles = sets.cdasc_set | sets.cddes_set
+        skipped = min(toggles)
+        relink = hopping._relink
+
+        def skipping_relink(nxt, prv, x):
+            if x != skipped:
+                relink(nxt, prv, x)
+
+        monkeypatch.setattr(hopping, "_relink", skipping_relink)
+        assert orbit(p).size == 2 ** (len(toggles) - 1) < 2 ** len(toggles)
+
     def test_members_share_invariants(self):
         p = parse_permutation("(5,2,1)(6)(8)(11,9,10,4,3,7)")
         report = orbit(p, collect_members=True)

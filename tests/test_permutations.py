@@ -22,7 +22,7 @@ from cyclestat.permutations import (
     to_cycle_form,
 )
 
-from conftest import all_perms, oracle_des, oracle_exc
+from conftest import all_perms, oracle_cval, oracle_des, oracle_exc, oracle_fix
 
 RUNNING_EXAMPLE = "(5,2,1)(6)(8)(11,9,10,4,3,7)"
 
@@ -192,6 +192,22 @@ class TestStatSets:
                     + len(s.fix_set)
                 )
                 assert total == n  # pairwise disjoint
+
+    def test_counts_are_the_set_sizes_and_the_definitions(self):
+        # stat_counts and stat_sets read one classifier; the counts must
+        # be the sets' sizes, and exc, cval, fix those of the definitions
+        for n in range(0, 8):
+            for p in all_perms(n):
+                c, s = stat_counts(p), stat_sets(p)
+                sets = (
+                    s.exc_set, s.cval_set, s.cpk_set, s.cdasc_set, s.cddes_set, s.fix_set
+                )
+                assert c == tuple(map(len, sets))
+                assert (c.exc, c.cval, c.fix) == (
+                    oracle_exc(p.word),
+                    oracle_cval(p.word),
+                    oracle_fix(p.word),
+                )
 
     def test_excedance_decomposition(self):
         for n in range(0, 8):
