@@ -33,9 +33,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import chain, combinations, compress, permutations
 from math import factorial
-from typing import Iterator
+from operator import lt
+from typing import Callable, Iterator
 
 from .algebra import MultiPoly
 from .permutations import CycleType, Permutation, _word_from_cycles
@@ -113,8 +114,11 @@ def z_lambda(ct: CycleType) -> int:
     return result
 
 
+@lru_cache(maxsize=None)
 def class_size(ct: CycleType) -> int:
     """Number of permutations with the given cycle type: n!/z_lambda.
+    Cached, since every enumeration checks its spec's total against the
+    member cap.
 
     >>> class_size(CycleType((1, 5, 5)))
     798336
@@ -206,11 +210,7 @@ class ClassSpec:
         """The conjugacy classes whose union this spec denotes."""
         if self.cycle_type is not None:
             return (self.cycle_type,)
-        return tuple(
-            ct
-            for ct in partitions_of(self.n)
-            if ct.fixed_point_count == self.fixed_points
-        )
+        return _types_with_fixed_points(self.n, self.fixed_points)
 
     def member_bound(self) -> int:
         """Total size of the covered classes (an upper bound for cval specs)."""
@@ -230,6 +230,13 @@ class ClassSpec:
         return ",".join(f"{key}={value}" for key, value in self.instance().items())
 
 
+@lru_cache(maxsize=None)
+def _types_with_fixed_points(n: int, k: int) -> tuple[CycleType, ...]:
+    """The partitions of n with exactly k parts equal to 1, cached per
+    (n, k): every stratum and cell spec of that (n, k) asks for them."""
+    return tuple(ct for ct in partitions_of(n) if ct.fixed_point_count == k)
+
+
 def class_cap() -> int:
     """The member cap of every enumeration: ``CYCLESTAT_CLASS_CAP``,
     or 10^8 when unset or empty; ValueError unless a nonnegative integer."""
@@ -243,27 +250,48 @@ def class_cap() -> int:
     return int(raw)
 
 
-def _cycle_joint_stats(anchor: int, arrangement: tuple[int, ...]) -> tuple[int, int]:
-    """(cval, exc) contributed by the cycle (anchor, *arrangement).
+@lru_cache(maxsize=None)
+def _cycle_tables(m: int) -> tuple[bytes, bytes, bytes]:
+    """(keep, cvals, excs) over the cycles (0, *order) of size m, one
+    byte per order of the m - 1 letters 1..m-1 after the anchor 0, in
+    ``itertools.permutations`` order; ``keep`` keeps every order.
 
-    The anchor is the cycle minimum, so it is always a cyclic valley
-    whenever the cycle has size >= 2.
+    The anchor is the cycle minimum, so it is a cyclic valley and an
+    excedance (for m >= 2), and the last letter is neither. In between,
+    a letter is an excedance when it ascends and a cyclic valley when a
+    descent runs into it and an ascent out: with the ascents of the
+    order as a 0/1 string, exc counts its ones and cval its "01"s, which
+    cannot overlap. Built from generators straight into ``bytes``: about
+    3 (m-1)! bytes are kept, and no Python object per order.
+
+    >>> _cycle_tables(3)
+    (b'\\x01\\x01', b'\\x01\\x01', b'\\x02\\x01')
     """
-    cycle = (anchor,) + arrangement
-    size = len(cycle)
-    cval = 0
-    exc = 0
-    for j in range(size):
-        elem = cycle[j]
-        nxt = cycle[j + 1] if j + 1 < size else cycle[0]
-        if elem < nxt:
-            exc += 1
-            if cycle[j - 1] > elem:
-                cval += 1
-    return cval, exc
+    if m == 1:
+        return b"\1", b"\0", b"\0"
+    ascents = (bytes(map(lt, order, order[1:])) for order in permutations(range(1, m)))
+    pairs = bytes(
+        chain.from_iterable((1 + up.count(b"\0\1"), 1 + up.count(1)) for up in ascents)
+    )
+    return b"\1" * factorial(m - 1), pairs[0::2], pairs[1::2]
+
+
+@lru_cache(maxsize=None)
+def _valley_tables(m: int) -> tuple[bytes, bytes, bytes]:
+    """:func:`_cycle_tables` keeping only the orders without a cyclic
+    double ascent (cdasc = exc - cval = 0); cvals and excs list the kept
+    orders only.
+
+    >>> _valley_tables(3)
+    (b'\\x00\\x01', b'\\x01', b'\\x01')
+    """
+    _, cvals, excs = _cycle_tables(m)
+    keep = bytes(c == e for c, e in zip(cvals, excs))
+    return keep, bytes(compress(cvals, keep)), bytes(compress(excs, keep))
 
 
 def _iter_cycle_lists(
+    tables: Callable[[int], tuple[bytes, bytes, bytes]],
     avail: tuple[int, ...],
     sizes: tuple[int, ...],
     head: tuple[tuple[int, ...], ...] = (),
@@ -271,12 +299,21 @@ def _iter_cycle_lists(
     exc: int = 0,
 ) -> Iterator[tuple[tuple[tuple[int, ...], ...], int, int]]:
     """All ways to arrange ``avail`` into cycles of the given sizes, each
-    with its (cval, exc), appended to the cycles ``head`` already built.
+    with its (cval, exc), appended to the cycles ``head`` already built,
+    keeping a cycle only where ``tables`` (:func:`_cycle_tables` or
+    :func:`_valley_tables`) keeps its order.
 
     The smallest available element anchors the next cycle; its size is
     chosen among the distinct remaining sizes, so equal-size cycles come
     out ordered by anchor and nothing repeats. A completed cycle's
-    statistics are added once and shared by every completion below it.
+    statistics are added once and shared by every completion below it,
+    and a cycle the tables drop is cut before any completion below it.
+
+    The tables are exact: ``others`` comes sorted from ``combinations``
+    of the sorted ``avail``, the anchor is below all of them, and cval
+    and exc depend only on relative order, so the j-th order of
+    ``permutations(others)`` has the statistics of the j-th order of
+    1..m-1 after 0.
     """
     if not avail:
         yield head, cval, exc
@@ -290,15 +327,18 @@ def _iter_cycle_lists(
         remaining_sizes = sizes[:idx] + sizes[idx + 1 :]
         if size == 1:
             yield from _iter_cycle_lists(
-                rest, remaining_sizes, head + ((anchor,),), cval, exc
+                tables, rest, remaining_sizes, head + ((anchor,),), cval, exc
             )
             continue
+        keep, cvals, excs = tables(size)
         for others in combinations(rest, size - 1):
             others_set = set(others)
             remaining = tuple(e for e in rest if e not in others_set)
-            for arrangement in permutations(others):
-                d_cval, d_exc = _cycle_joint_stats(anchor, arrangement)
+            for arrangement, d_cval, d_exc in zip(
+                compress(permutations(others), keep), cvals, excs
+            ):
                 yield from _iter_cycle_lists(
+                    tables,
                     remaining,
                     remaining_sizes,
                     head + ((anchor,) + arrangement,),
@@ -315,7 +355,9 @@ def _enumerated_counts(ct: CycleType) -> dict[tuple[int, int], int]:
     callers must not mutate the result.
     """
     counts: dict[tuple[int, int], int] = {}
-    for _, cval, exc in _iter_cycle_lists(tuple(range(1, ct.n + 1)), ct.parts):
+    for _, cval, exc in _iter_cycle_lists(
+        _cycle_tables, tuple(range(1, ct.n + 1)), ct.parts
+    ):
         key = (cval, exc)
         counts[key] = counts.get(key, 0) + 1
     return counts
@@ -407,12 +449,16 @@ def _class_counts(spec: ClassSpec, route: str) -> dict[tuple[int, int], int]:
     return combined
 
 
-def _members(spec: ClassSpec) -> Iterator[tuple[tuple[tuple[int, ...], ...], int, int]]:
+def _members(
+    spec: ClassSpec, tables: Callable[[int], tuple[bytes, bytes, bytes]]
+) -> Iterator[Permutation]:
     ClassTooLargeError.check(spec.member_bound(), "%s", spec)
     for ct in spec.cycle_types():
-        for cycles, cval, exc in _iter_cycle_lists(tuple(range(1, ct.n + 1)), ct.parts):
+        for cycles, cval, _ in _iter_cycle_lists(
+            tables, tuple(range(1, ct.n + 1)), ct.parts
+        ):
             if spec.cval is None or cval == spec.cval:
-                yield cycles, cval, exc
+                yield Permutation(_word_from_cycles(cycles, spec.n))
 
 
 def iter_class(spec: ClassSpec) -> Iterator[Permutation]:
@@ -424,20 +470,22 @@ def iter_class(spec: ClassSpec) -> Iterator[Permutation]:
     >>> sorted(str(p) for p in iter_class(ClassSpec.parse("3")))
     ['231', '312']
     """
-    for cycles, _, _ in _members(spec):
-        yield Permutation(_word_from_cycles(cycles, spec.n))
+    yield from _members(spec, _cycle_tables)
 
 
 def orbit_representatives(spec: ClassSpec) -> Iterator[Permutation]:
     """The members of :func:`iter_class` with no cyclic double ascent
-    (cdasc = exc - cval), one per orbit of cyclic valley-hopping.
+    (cdasc = exc - cval), one per orbit of cyclic valley-hopping, in
+    :func:`iter_class` order.
+
+    The recursion reads :func:`_valley_tables`, so a cycle with a double
+    ascent is dropped as soon as it is built, with every completion
+    below it: no member with a double ascent is ever made.
 
     >>> [str(p) for p in orbit_representatives(ClassSpec.parse("3"))]
     ['312']
     """
-    for cycles, cval, exc in _members(spec):
-        if exc == cval:
-            yield Permutation(_word_from_cycles(cycles, spec.n))
+    yield from _members(spec, _valley_tables)
 
 
 def joint_counts(

@@ -35,7 +35,10 @@ definition of ``phi`` are kept as the test oracles.
 
 The orbit of a permutation under ``psi`` has size 2^(n - fix - 2*cval)
 and contains exactly one member without cyclic double ascents; ``orbit``
-computes all of this by explicit enumeration, one relink per member.
+computes all of this by explicit enumeration, one relink per member, on
+one pair of flat lists. It reads the representative off that walk, at
+the step that has hopped exactly the double ascents, rather than calling
+``psi`` for it.
 """
 from __future__ import annotations
 
@@ -48,8 +51,8 @@ from .permutations import (
     Permutation,
     left_to_right_maxima,
     stat_counts,
-    stat_sets,
     _cycles_of_word,
+    _link_classes,
     _links,
     _word_from_cycles,
 )
@@ -241,33 +244,54 @@ def orbit(p: Permutation, collect_members: bool = False) -> OrbitReport:
     orbit is generated by toggling subsets of those letters; the walk
     below flips one letter at a time (Gray order), relinking one letter of
     one pair of flat lists in place per member. ``size`` counts the
-    distinct members the walk meets. An orbit of more than ``class_cap()``
+    distinct members the walk meets. The letters are classified once,
+    from the same lists before the walk. The representative is read off
+    the walk: the member at step j has toggled the letters of the Gray
+    code j ^ (j >> 1), so the member that has hopped exactly the double
+    ascents of p is met at the step whose Gray code is their mask, and
+    the walk is split there. An orbit of more than ``class_cap()``
     members raises :class:`~cyclestat.enumeration.ClassTooLargeError`
     before the walk starts.
 
     >>> rep = orbit(Permutation((2, 3, 1)), collect_members=True)
-    >>> rep.size, [str(m) for m in rep.members]
-    (2, ['231', '312'])
+    >>> rep.size, [str(m) for m in rep.members], str(rep.representative)
+    (2, ['231', '312'], '312')
     """
-    sets = stat_sets(p)
-    toggles = sorted(sets.cdasc_set | sets.cddes_set)
+    nxt, prv = _links(p.word)
+    _, cval, _, cdasc, cddes, fix = _link_classes(nxt, prv)
+    toggles = sorted(cdasc + cddes)
     walk = 1 << len(toggles)
     ClassTooLargeError.check(walk, "the orbit of %s", p)
-    nxt, prv = _links(p.word)
+    rising = set(cdasc)
+    at = 0  # the step whose Gray code is the mask of the double ascents
+    for bit, x in enumerate(toggles):
+        if x in rising:
+            at ^= (1 << (bit + 1)) - 1
     words = {p.word}
-    for step in range(1, walk):
-        bit = (step & -step).bit_length() - 1
-        _relink(nxt, prv, toggles[bit])
-        words.add(tuple(nxt[1:]))
+    _walk(nxt, prv, toggles, range(1, at + 1), words)
+    representative = Permutation._trusted(tuple(nxt[1:]))
+    _walk(nxt, prv, toggles, range(at + 1, walk), words)
     return OrbitReport(
-        representative=psi(p, sets.cdasc_set),
+        representative=representative,
         size=len(words),
-        cval=len(sets.cval_set),
-        fix=len(sets.fix_set),
+        cval=len(cval),
+        fix=len(fix),
         members=tuple(map(Permutation._trusted, sorted(words)))
         if collect_members
         else None,
     )
+
+
+def _walk(
+    nxt: list[int], prv: list[int], toggles: list[int], steps: range, words: set
+) -> None:
+    """Take the Gray-order steps of :func:`orbit`'s walk, adding each
+    member met to ``words``: step j relinks the letter of j's lowest set
+    bit."""
+    for step in steps:
+        bit = (step & -step).bit_length() - 1
+        _relink(nxt, prv, toggles[bit])
+        words.add(tuple(nxt[1:]))
 
 
 def orbit_exc_polynomial(p: Permutation) -> MultiPoly:

@@ -321,14 +321,16 @@ def des(p: Permutation) -> int:
     return sum(1 for i in range(len(w) - 1) if w[i] > w[i + 1])
 
 
-def _letter_classes(p: Permutation) -> tuple[list[int], ...]:
-    """The letters of p in the six classes, in ``StatSets`` field order:
+def _link_classes(nxt: list[int], prv: list[int]) -> tuple[list[int], ...]:
+    """The letters in the six classes of the permutation whose
+    :func:`_links` are ``nxt`` and ``prv``, in ``StatSets`` field order:
     excedances, cyclic valleys, peaks, double ascents, double descents
     and fixed points, each list increasing. The one classification loop,
-    which :func:`stat_sets` and :func:`stat_counts` both read."""
-    nxt, prv = _links(p.word)
+    which :func:`stat_sets` and :func:`stat_counts` read through
+    :func:`_letter_classes`, and ``hopping.orbit`` reads from the links
+    it walks."""
     exc, cval, cpk, cdasc, cddes, fix = [], [], [], [], [], []
-    for i in range(1, p.n + 1):
+    for i in range(1, len(nxt)):
         a, b = prv[i], nxt[i]
         if b == i:
             fix.append(i)
@@ -345,6 +347,11 @@ def _letter_classes(p: Permutation) -> tuple[list[int], ...]:
             else:
                 cddes.append(i)
     return exc, cval, cpk, cdasc, cddes, fix
+
+
+def _letter_classes(p: Permutation) -> tuple[list[int], ...]:
+    """:func:`_link_classes` of p."""
+    return _link_classes(*_links(p.word))
 
 
 def stat_sets(p: Permutation) -> StatSets:

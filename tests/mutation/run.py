@@ -254,6 +254,35 @@ CATALOGUE = (
         "killed",
         "an orbit's size counts the distinct members the walk meets",
     ),
+    Mutant(
+        "valley-tables-keep-all",
+        "src/cyclestat/enumeration.py",
+        "c == e for c, e",
+        "c <= e for c, e",
+        "killed",
+        "an orbit representative has no cyclic double ascent: exc = cval",
+    ),
+    Mutant(
+        "orbit-representative-step-early",
+        "src/cyclestat/hopping.py",
+        "range(1, at + 1), words)\n"
+        "    representative = Permutation._trusted(tuple(nxt[1:]))\n"
+        "    _walk(nxt, prv, toggles, range(at + 1, walk), words)",
+        "range(1, at), words)\n"
+        "    representative = Permutation._trusted(tuple(nxt[1:]))\n"
+        "    _walk(nxt, prv, toggles, range(at, walk), words)",
+        "killed",
+        "the walk meets the representative at the inverse Gray code of the "
+        "double ascents' mask, not a step earlier",
+    ),
+    Mutant(
+        "cycle-tables-stats-swapped",
+        "src/cyclestat/enumeration.py",
+        "pairs[0::2], pairs[1::2]",
+        "pairs[1::2], pairs[0::2]",
+        "killed",
+        "the cycle tables list cval, then exc",
+    ),
 )
 
 FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)

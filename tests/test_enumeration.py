@@ -220,6 +220,39 @@ class TestOrbitRepresentatives:
             assert set(ours) == expected and len(ours) == len(expected), spec
             assert ours == [p.word for p in iter_class(spec) if p.word in expected]
 
+    def test_pruned_recursion_on_seven(self):
+        # every class, (7, k) stratum and (7, k, i) cell: the pruned
+        # recursion yields the oracle's members without a double ascent,
+        # in iter_class order, and its cval filter keeps the right cell
+        n = 7
+        profiles = [
+            (p.word, oracle_cycle_sizes(p.word), oracle_fix(p.word), oracle_cval(p.word))
+            for p in all_perms(n)
+            if oracle_exc(p.word) == oracle_cval(p.word)
+        ]
+        specs = [ClassSpec.of_cycle_type(ct) for ct in partitions_of(n)]
+        for k in range(n + 1):
+            specs.append(ClassSpec.with_fixed_points(n, k))
+            specs += [
+                ClassSpec.with_fixed_points_and_valleys(n, k, i)
+                for i in range((n - k) // 2 + 1)
+            ]
+        assert len(specs) == 15 + 8 + 20
+        for spec in specs:
+            expected = {
+                word
+                for word, sizes, fix, cval in profiles
+                if (
+                    sizes == spec.cycle_type.parts
+                    if spec.cycle_type is not None
+                    else fix == spec.fixed_points
+                    and spec.cval in (None, cval)
+                )
+            }
+            ours = [p.word for p in orbit_representatives(spec)]
+            assert set(ours) == expected and len(ours) == len(expected), spec
+            assert ours == [p.word for p in iter_class(spec) if p.word in expected]
+
     def test_counts_by_cval_are_the_theorem2_gammas(self):
         for spec in _specs_to_six():
             counts = [0] * ((spec.n - spec.fixed_point_count) // 2 + 1)

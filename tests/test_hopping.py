@@ -250,6 +250,13 @@ class TestOrbit:
                 assert no_dasc == [psi(p, stat_sets(p).cdasc_set)]
                 assert report.representative == no_dasc[0]
 
+    def test_representative_read_off_the_walk_is_psi_of_the_double_ascents(self):
+        # orbit takes its representative from the Gray walk; psi reaches
+        # it by hopping every double ascent at once
+        for n in range(8):
+            for p in all_perms(n):
+                assert orbit(p).representative == psi(p, stat_sets(p).cdasc_set), p
+
     def test_size_counts_the_members_the_walk_meets(self, monkeypatch):
         # A relink that never moves one toggle letter makes the walk meet
         # each member twice; size must count them once, not the steps.
