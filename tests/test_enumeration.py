@@ -239,16 +239,14 @@ class TestOrbitRepresentatives:
             ]
         assert len(specs) == 15 + 8 + 20
         for spec in specs:
-            expected = {
-                word
-                for word, sizes, fix, cval in profiles
-                if (
-                    sizes == spec.cycle_type.parts
-                    if spec.cycle_type is not None
-                    else fix == spec.fixed_points
-                    and spec.cval in (None, cval)
-                )
-            }
+            if spec.cycle_type is not None:
+                expected = {w for w, sizes, _, _ in profiles if sizes == spec.cycle_type.parts}
+            else:
+                expected = {
+                    w
+                    for w, _, fix, cval in profiles
+                    if fix == spec.fixed_points and spec.cval in (None, cval)
+                }
             ours = [p.word for p in orbit_representatives(spec)]
             assert set(ours) == expected and len(ours) == len(expected), spec
             assert ours == [p.word for p in iter_class(spec) if p.word in expected]
