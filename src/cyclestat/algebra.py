@@ -46,7 +46,6 @@ __all__ = [
     "TruncationResidueError",
     "eulerian",
     "gamma_expand",
-    "poly_at_series",
 ]
 
 Exponents = tuple[int, int]
@@ -598,27 +597,3 @@ class TruncSeries(MultiPoly):
 
     def __repr__(self) -> str:
         return f"TruncSeries({self.terms!r}, order={self.order})"
-
-
-def poly_at_series(p: MultiPoly, a: TruncSeries) -> TruncSeries:
-    """Evaluate a polynomial in t at a series argument.
-
-    The result has the argument's kind, so a polynomial argument gives a
-    polynomial.
-
-    >>> geom = poly_at_series(eulerian(2), TruncSeries.from_poly(MultiPoly.t(), 4))
-    >>> str(geom.to_poly(2))
-    't + t^2'
-    """
-    if not p.is_univariate_in_t():
-        raise ValueError("substitution argument must be a polynomial in t alone")
-    coeffs = {dt: c for (_, dt), c in p._terms.items()}
-    result = a._new({})
-    power = a._new({(0, 0): 1})
-    for j in range(0, max(coeffs, default=0) + 1):
-        if j > 0:
-            power = power * a
-        c = coeffs.get(j)
-        if c:
-            result = result + power * c
-    return result

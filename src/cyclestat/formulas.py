@@ -25,7 +25,11 @@ differ only in the pair (core, x): (1, t) for ``brenti``,
 ((1+u)/(1+uv), v) for Theorem 1 and (1 + sqrt(1-t), w) for Theorem 6.
 For Theorems 1 and 6 each pair (core, x) depends only on the truncation
 order, not on the class, so it is built once per order, with its
-factors A_d(x).
+factors A_d(x), which read one shared table of the powers of x. A
+class then costs only its own product, in which the core is cut to
+the order the Eulerian factors leave before it is raised to its power:
+those factors have no term below a known degree V, so the terms of the
+power above N - V would land above the product's order N.
 * ``lemma1_check`` / ``theorem4_check`` / ``theorem5_check``: identities
   relating the excedance distribution to the joint (or cval)
   distribution over any hop-invariant family, verified in cleared
@@ -61,7 +65,6 @@ from .algebra import (
     TruncSeries,
     eulerian,
     gamma_expand,
-    poly_at_series,
 )
 from .enumeration import (
     ClassSpec,
@@ -152,12 +155,25 @@ def _brenti_product(ct: CycleType, core: MultiPoly, factor) -> MultiPoly:
 
     The Eulerian factors are multiplied unscaled and the scalar is applied
     once, as the integer multinomial n!/prod_i(i!^(m_i) m_i!), which is
-    (n!/z_lambda)/prod_i (i-1)!^(m_i)."""
-    result = core ** (ct.n - ct.fixed_point_count)
+    (n!/z_lambda)/prod_i (i-1)!^(m_i).
+
+    When the Eulerian part P is a series of order N whose lowest total
+    degree is V, the core is cut to order N - V before it is raised to
+    its power: a term of core^k above N - V meets only terms of P of
+    degree >= V, so it lands above N. P times that power, read as a
+    polynomial, keeps P's order N. A polynomial P (``brenti``, or the
+    empty class, which has no factor) takes the plain product."""
+    part = MultiPoly.one()
     denominator = 1
     for size, mult in sorted(ct.multiplicities.items()):
         denominator *= factorial(size) ** mult * factorial(mult)
-        result = result * factor(size - 1) ** mult
+        part = part * factor(size - 1) ** mult
+    k = ct.n - ct.fixed_point_count
+    if isinstance(part, TruncSeries):
+        cut = TruncSeries.from_poly(core, part.order - min(map(sum, part._terms)))
+        result = part * MultiPoly((cut**k)._terms)
+    else:
+        result = core**k * part
     return result * (factorial(ct.n) // denominator)
 
 
@@ -174,8 +190,19 @@ def brenti(ct: CycleType) -> MultiPoly:
 
 
 def _eulerian_at(x: TruncSeries):
-    """d -> A_d(x), each factor built once."""
-    return lru_cache(maxsize=None)(lambda d: poly_at_series(eulerian(d), x))
+    """d -> A_d(x), each factor built once, as sum_j c_j x^j read from one
+    table of powers [1, x, x^2, ...] that grows as higher d ask for it,
+    so every power of x is multiplied out once for all d."""
+    powers = [x._new({(0, 0): 1})]
+
+    @lru_cache(maxsize=None)
+    def factor(d: int) -> TruncSeries:
+        while len(powers) <= d:
+            powers.append(powers[-1] * x)
+        terms = eulerian(d)._terms.items()
+        return sum((powers[j] * c for (_, j), c in terms), x._new({}))
+
+    return factor
 
 
 @lru_cache(maxsize=None)

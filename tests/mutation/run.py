@@ -283,6 +283,31 @@ CATALOGUE = (
         "killed",
         "the cycle tables list cval, then exc",
     ),
+    Mutant(
+        "core-cut-one-short",
+        "src/cyclestat/formulas.py",
+        "part.order - min(map(sum, part._terms))",
+        "part.order - min(map(sum, part._terms)) - 1",
+        "killed",
+        "the core power is needed up to the product's order less the lowest "
+        "degree of the Eulerian part, not a degree less",
+    ),
+    Mutant(
+        "power-table-shift",
+        "src/cyclestat/formulas.py",
+        "powers[j] * c for",
+        "powers[j - 1] * c for",
+        "killed",
+        "A_d(x) = sum_j c_j x^j reads x^j from the power table",
+    ),
+    Mutant(
+        "egf-denominator-sign",
+        "src/cyclestat/formulas.py",
+        "return power if j % 2 == 0 else -power",
+        "return power",
+        "killed",
+        "the odd terms of the EGF denominator come from -sinh and are negative",
+    ),
 )
 
 FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)

@@ -14,7 +14,6 @@ from cyclestat.algebra import (
     TruncationResidueError,
     eulerian,
     gamma_expand,
-    poly_at_series,
 )
 
 from conftest import all_perms, oracle_des
@@ -338,21 +337,6 @@ class TestSeriesKernels:
         assert type(series.constant_term()) is Fraction
         gammas = gamma_expand(ONE + 11 * T + 11 * T**2 + T**3, 3).gammas
         assert gammas == (1, 8) and all(type(g) is Fraction for g in gammas)
-
-
-class TestPolyAtSeries:
-    def test_identity_substitution(self):
-        t = TruncSeries.from_poly(T, 4)
-        assert poly_at_series(eulerian(2), t).to_poly(2) == eulerian(2)
-
-    def test_shifted_argument(self):
-        arg = TruncSeries.from_poly(T + T**2, 6)
-        expected = (T + T**2) + (T + T**2) ** 2
-        assert poly_at_series(eulerian(2), arg).to_poly(4) == expected
-
-    def test_rejects_bivariate(self):
-        with pytest.raises(ValueError):
-            poly_at_series(S + T, TruncSeries.from_poly(T, 3))
 
 
 class TestReflectedSubtraction:

@@ -11,6 +11,7 @@ from cyclestat.algebra import (
     GammaExpansionError,
     MultiPoly,
     TruncationResidueError,
+    TruncSeries,
     eulerian,
     gamma_expand,
 )
@@ -166,6 +167,33 @@ class TestTheorem6:
         )
 
 
+class TestResidueReach:
+    """Every class's product reaches ``to_poly(n)`` at its full order, so
+    the residue check reads degrees above n for each class, not only for
+    the one that ``pad_product`` pads. (The empty class, n = 0, has no
+    Eulerian factor, so Theorem 6's product keeps its core's order.)"""
+
+    @pytest.mark.parametrize(
+        "closed_form, headroom",
+        [(theorem1_joint, 2), (theorem6_cval, 3)],
+        ids=["theorem1", "theorem6"],
+    )
+    def test_every_class_to_twelve(self, monkeypatch, closed_form, headroom):
+        orders = []
+        to_poly = TruncSeries.to_poly
+
+        def recording(self, max_total_degree):
+            orders.append(self.order)
+            return to_poly(self, max_total_degree)
+
+        monkeypatch.setattr(TruncSeries, "to_poly", recording)
+        for n in range(1, 13):
+            for ct in partitions_of(n):
+                orders.clear()
+                closed_form(ct)
+                assert orders == [n + headroom], ct
+
+
 class TestBeyondEnumeration:
     """The closed forms against the factorized route where enumeration is
     out of reach; both already match enumeration for n <= 8."""
@@ -186,6 +214,11 @@ class TestBeyondEnumeration:
 
     def test_every_class_eleven_to_fourteen(self):
         for n in range(11, 15):
+            for ct in partitions_of(n):
+                self.assert_routes_agree(ct)
+
+    def test_every_class_fifteen_and_sixteen(self):
+        for n in (15, 16):
             for ct in partitions_of(n):
                 self.assert_routes_agree(ct)
 
