@@ -15,15 +15,18 @@ with deg_s + deg_t > order are discarded, which makes units invertible
 and series with constant term 1 admit square roots. The ring operations,
 scalar products and division by s or t are written once, in
 ``MultiPoly``; a series adds only its truncating product with another
-polynomial, how orders combine (mixing gives the smaller order), inverse,
-division, square root, and the order it loses in a division by s or t.
-Inverse and square root are solved one total degree at a time, and the
-square root divides only by 2, so an integral radicand whose root is
-integral never builds a ``Fraction``. It exists to evaluate substitution
-formulas whose closed forms contain radicals; whenever the represented
-function is actually a polynomial, ``to_poly`` recovers it and loudly
-rejects leftover high-order terms (the sign of a too-small truncation
-order).
+polynomial, how orders combine (mixing gives the smaller order), power,
+inverse, division, square root, and the order it loses in a division by
+s or t. The truncating product keys each term (a, b) by the packed
+integer a*(order+1) + b, which is exact because no t-degree within the
+order reaches the packing width. A power of a series with a nonzero
+constant term, inverse and square root are solved one total degree at
+a time; the square root divides only by 2, so an integral radicand whose
+root is integral never builds a ``Fraction``. It exists to evaluate
+substitution formulas whose closed forms contain radicals; whenever the
+represented function is actually a polynomial, ``to_poly`` recovers it
+and loudly rejects leftover high-order terms (the sign of a too-small
+truncation order).
 
 ``eulerian(n)`` is the classic descent-counting polynomial, normalized so
 that the lowest term is t^1 for n >= 1 (and 1 for n = 0); it is computed
@@ -32,10 +35,10 @@ polynomial that is symmetric about m/2 in the basis t^i (1+t)^(m-2i).
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, chain
 from typing import Mapping
 
 __all__ = [
@@ -108,6 +111,24 @@ def _convolve(
         for (k, l), y in b.items():
             key = (i + k, j + l)
             acc[key] = get(key, 0) + x * y
+
+
+def _packed_parts(
+    terms: Mapping[Exponents, Scalar], width: int
+) -> list[list[tuple[int, Scalar]]]:
+    """The terms of total degree below width, one list per degree, each
+    term s^a t^b keyed by the packed integer a*width + b (exact at width
+    order + 1, see ``TruncSeries.__mul__``)."""
+    parts: list[list[tuple[int, Scalar]]] = [[] for _ in range(width)]
+    for (a, b), c in terms.items():
+        if a + b < width:
+            parts[a + b].append((a * width + b, c))
+    return parts
+
+
+def _unpacked(items, width: int) -> dict[Exponents, Scalar]:
+    """Packed (key, coefficient) pairs back on exponent pairs."""
+    return {divmod(key, width): c for key, c in items}
 
 
 class MultiPoly:
@@ -470,28 +491,70 @@ class TruncSeries(MultiPoly):
     # -- arithmetic ----------------------------------------------------
 
     def __mul__(self, other) -> "TruncSeries":
+        """The truncated product, on packed exponents.
+
+        Each term s^a t^b is keyed by the integer a*W + b, W = order + 1.
+        That is exact: b <= order < W holds in both factors and in every
+        product that stays within the order, so no carry crosses into a.
+        The right terms are ordered by degree once per call, so each left
+        term of degree i meets only the prefix of degree at most
+        order - i, and the int-keyed accumulator is unpacked once by
+        ``divmod``.
+        """
         if not isinstance(other, MultiPoly):
             return super().__mul__(other)
         order = self._meet(other).order
-        # The right factor's terms by total degree, so that each left term
-        # meets only those that keep the product within the order.
-        right = sorted(
-            (d + e, d, e, c) for (d, e), c in other._terms.items() if d + e <= order
-        )
-        degrees = [term[0] for term in right]
-        within = [bisect_right(degrees, room) for room in range(order + 1)]
-        terms: dict[Exponents, Scalar] = {}
-        get = terms.get
-        for (a, b), c1 in self._terms.items():
+        width = order + 1
+        parts = _packed_parts(other._terms, width)
+        right = list(chain.from_iterable(parts))
+        ends = list(accumulate(map(len, parts)))
+        acc: dict[int, Scalar] = {}
+        get = acc.get
+        for (a, b), x in self._terms.items():
             room = order - a - b
             if room < 0:
                 continue
-            for _, d, e, c2 in right[: within[room]]:
-                key = (a + d, b + e)
-                terms[key] = get(key, 0) + c1 * c2
-        return TruncSeries(terms, order)
+            p = a * width + b
+            for q, y in right[: ends[room]]:
+                q += p
+                acc[q] = get(q, 0) + x * y
+        return TruncSeries(_unpacked(acc.items(), width), order)
 
     __rmul__ = __mul__
+
+    def __pow__(self, exponent: int) -> "TruncSeries":
+        """self^k in one pass when the constant term c is nonzero.
+
+        Solves g = f^k one total degree at a time by the Euler-operator
+        recurrence (J. C. P. Miller; Knuth, TAOCP vol. 2, 4.7): with f_i,
+        g_i the parts of degree i, g_0 = c^k and
+        d c g_d = sum over 1 <= i <= d of ((k+1) i - d) f_i g_(d-i),
+        each quotient exact, on packed exponents as in the product. A
+        series without a constant term (such as an Eulerian factor
+        A_d(x)) is raised by ``MultiPoly``'s repeated squaring.
+        """
+        c = self._terms.get((0, 0), 0)
+        if not c or not isinstance(exponent, int) or exponent < 0:
+            return super().__pow__(exponent)
+        k = exponent
+        width = self.order + 1
+        f = _packed_parts(self._terms, width)
+        g = [[(0, c**k)]]
+        for d in range(1, width):
+            acc: dict[int, Scalar] = {}
+            get = acc.get
+            for i, part in enumerate(f[1 : d + 1], 1):
+                weight = (k + 1) * i - d
+                lower = g[d - i]
+                for p, x in part:
+                    x *= weight
+                    for q, y in lower:
+                        q += p
+                        acc[q] = get(q, 0) + x * y
+            g.append(
+                [(key, _quotient(value, d * c)) for key, value in acc.items() if value]
+            )
+        return TruncSeries(_unpacked(chain.from_iterable(g), width), self.order)
 
     def _graded(self) -> list[dict[Exponents, Scalar]]:
         """The homogeneous parts of total degree 0..order."""

@@ -25,11 +25,13 @@ differ only in the pair (core, x): (1, t) for ``brenti``,
 ((1+u)/(1+uv), v) for Theorem 1 and (1 + sqrt(1-t), w) for Theorem 6.
 For Theorems 1 and 6 each pair (core, x) depends only on the truncation
 order, not on the class, so it is built once per order, with its
-factors A_d(x), which read one shared table of the powers of x. A
-class then costs only its own product, in which the core is cut to
-the order the Eulerian factors leave before it is raised to its power:
-those factors have no term below a known degree V, so the terms of the
-power above N - V would land above the product's order N.
+factors A_d(x), each summed into one dict from one shared table of the
+powers of x. A class then costs only its own product, in which the core
+is cut to the order the Eulerian factors leave before it is raised to
+its power: those factors have no term below a known degree V, so the
+terms of the power above N - V would land above the product's order N.
+The core has a nonzero constant term, so that power is one pass of
+``TruncSeries``'s power recurrence rather than repeated squaring.
 * ``lemma1_check`` / ``theorem4_check`` / ``theorem5_check``: identities
   relating the excedance distribution to the joint (or cval)
   distribution over any hop-invariant family, verified in cleared
@@ -192,15 +194,19 @@ def brenti(ct: CycleType) -> MultiPoly:
 def _eulerian_at(x: TruncSeries):
     """d -> A_d(x), each factor built once, as sum_j c_j x^j read from one
     table of powers [1, x, x^2, ...] that grows as higher d ask for it,
-    so every power of x is multiplied out once for all d."""
+    so every power of x is multiplied out once for all d. Every c_j x^j
+    term is added into one dict, from which one series is built."""
     powers = [x._new({(0, 0): 1})]
 
     @lru_cache(maxsize=None)
     def factor(d: int) -> TruncSeries:
         while len(powers) <= d:
             powers.append(powers[-1] * x)
-        terms = eulerian(d)._terms.items()
-        return sum((powers[j] * c for (_, j), c in terms), x._new({}))
+        terms: dict = {}
+        for (_, j), c in eulerian(d)._terms.items():
+            for key, value in powers[j]._terms.items():
+                terms[key] = terms.get(key, 0) + c * value
+        return x._new(terms)
 
     return factor
 

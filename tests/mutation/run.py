@@ -295,10 +295,60 @@ CATALOGUE = (
     Mutant(
         "power-table-shift",
         "src/cyclestat/formulas.py",
-        "powers[j] * c for",
-        "powers[j - 1] * c for",
+        "in powers[j]._terms.items():",
+        "in powers[j - 1]._terms.items():",
         "killed",
         "A_d(x) = sum_j c_j x^j reads x^j from the power table",
+    ),
+    Mutant(
+        "packed-width-order",
+        "src/cyclestat/algebra.py",
+        "width = order + 1",
+        "width = order",
+        "killed",
+        "a term within the order has t-degree up to the order, so the packing "
+        "width must exceed it; a width of order loses the top degree",
+    ),
+    Mutant(
+        "power-recurrence-weight",
+        "src/cyclestat/algebra.py",
+        "(k + 1) * i - d",
+        "k * i - d",
+        "killed",
+        "the Euler operator gives d c g_d = sum ((k+1) i - d) f_i g_(d-i)",
+    ),
+    Mutant(
+        "power-recurrence-divisor",
+        "src/cyclestat/algebra.py",
+        "_quotient(value, d * c)",
+        "_quotient(value, d)",
+        "killed",
+        "the recurrence divides by d times the constant term, which is 2 in "
+        "Theorem 6's core and a Fraction in the power tests",
+    ),
+    Mutant(
+        "first-difference-order",
+        "src/cyclestat/formulas.py",
+        "for key in sorted(lhs._terms.keys() | rhs._terms.keys()):",
+        "for key in sorted(lhs._terms.keys() | rhs._terms.keys(), reverse=True):",
+        "killed",
+        "the witness is the first differing coefficient in monomial order",
+    ),
+    Mutant(
+        "lemma1-profile-exponent",
+        "src/cyclestat/formulas.py",
+        "* (one + s) ** (2 * cval)",
+        "* (one + s) ** cval",
+        "killed",
+        "each cyclic valley contributes (1+s)^2 to the cleared right side",
+    ),
+    Mutant(
+        "validate-word-duplicates",
+        "src/cyclestat/permutations.py",
+        "if seen[letter]:",
+        "if False:",
+        "killed",
+        "a word with a repeated letter is not a permutation",
     ),
     Mutant(
         "egf-denominator-sign",

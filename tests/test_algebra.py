@@ -339,6 +339,108 @@ class TestSeriesKernels:
         assert gammas == (1, 8) and all(type(g) is Fraction for g in gammas)
 
 
+def random_terms(rng, max_deg, max_terms=8):
+    """A term dict with negative, zero and fractional coefficients."""
+    terms = {}
+    for _ in range(rng.randrange(max_terms + 1)):
+        key = (rng.randrange(max_deg + 1), rng.randrange(max_deg + 1))
+        fraction = Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+        terms[key] = rng.choice([0, rng.randrange(-9, 10), fraction])
+    return terms
+
+
+def schoolbook(a, b, order):
+    """Every product of a term of a with a term of b, summed; then every
+    term of total degree above the order dropped."""
+    full = {}
+    for (i, j), x in a.terms.items():
+        for (k, l), y in b.terms.items():
+            full[(i + k, j + l)] = full.get((i + k, j + l), 0) + x * y
+    return {key: c for key, c in full.items() if c and sum(key) <= order}
+
+
+class TestSeriesProduct:
+    """The packed-exponent product against a schoolbook product."""
+
+    def test_random_series_of_mixed_orders(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            o1, o2 = rng.randrange(9), rng.randrange(9)
+            a = TruncSeries(random_terms(rng, o1), o1)
+            b = TruncSeries(random_terms(rng, o2), o2)
+            product = a * b
+            assert isinstance(product, TruncSeries)
+            assert product.order == min(o1, o2)
+            assert product.terms == schoolbook(a, b, min(o1, o2))
+
+    def test_polynomial_on_either_side(self):
+        # The polynomial has terms above the order; they must drop out.
+        rng = random.Random(43)
+        for _ in range(200):
+            order = rng.randrange(9)
+            x = TruncSeries(random_terms(rng, order), order)
+            p = MultiPoly(random_terms(rng, order + 3))
+            expected = schoolbook(p, x, order)
+            for product in (p * x, x * p):
+                assert isinstance(product, TruncSeries) and product.order == order
+                assert product.terms == expected
+
+    def test_top_degree_terms_do_not_carry(self):
+        # A term of total degree equal to the order packs to the largest
+        # key of its s-degree; it must unpack to itself.
+        for order in range(6):
+            top = TruncSeries.from_poly(S**order + T**order, order)
+            assert (top * ONE).terms == top.terms
+            assert (top * (1 + S)).terms == top.terms
+
+    def test_order_zero(self):
+        a = TruncSeries.from_poly(Fraction(-3, 2) + S + T, 0)
+        b = TruncSeries.from_poly(4 - T**2, 0)
+        assert (a * b).terms == {(0, 0): -6} and (a * b).order == 0
+
+    def test_zero_series(self):
+        zero = TruncSeries({}, 5)
+        a = TruncSeries.from_poly((1 + S + T) ** 3, 4)
+        for product in (zero * a, a * zero, zero * zero, MultiPoly.zero() * a):
+            assert product.is_zero()
+        assert (zero * a).order == 4 and (zero * zero).order == 5
+
+
+class TestSeriesPower:
+    """The one-pass power (nonzero constant term) and its fallback
+    (zero constant term) against repeated multiplication."""
+
+    @pytest.mark.parametrize("c", [1, 2, -1, Fraction(1, 2), 0])
+    def test_against_repeated_multiplication(self, c):
+        rng = random.Random(47)
+        for _ in range(6):
+            order = rng.randrange(8)
+            a = TruncSeries(random_terms(rng, order), order)
+            a = a - a.constant_term() + c
+            expected = TruncSeries.from_poly(ONE, order)
+            for k in range(21):
+                power = a**k
+                assert isinstance(power, TruncSeries) and power.order == order
+                assert power == expected, (a, k)
+                expected = expected * a
+
+    def test_univariate_binomial(self):
+        # (2 + t)^k has coefficients C(k, j) 2^(k-j), all below the order.
+        order = 9
+        power = TruncSeries.from_poly(2 + T, order) ** 7
+        assert power.terms == {
+            (0, j): math.comb(7, j) * 2 ** (7 - j) for j in range(8)
+        }
+
+    def test_pow_errors(self):
+        for c in (1, 0):
+            a = TruncSeries.from_poly(c + T, 4)
+            with pytest.raises(ValueError):
+                a ** (-1)
+            with pytest.raises(ValueError):
+                a**2.0
+
+
 class TestReflectedSubtraction:
     @pytest.mark.parametrize(
         "value",

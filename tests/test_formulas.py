@@ -223,7 +223,9 @@ class TestBeyondEnumeration:
                 self.assert_routes_agree(ct)
 
     def test_single_cycles(self):
-        for m in range(10, 21):
+        # Both sides multiply over cycles, so a class-level theorem
+        # reduces to these factors.
+        for m in range(10, 31):
             self.assert_routes_agree(CycleType((m,)))
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -261,6 +263,22 @@ class TestBeyondEnumeration:
                     assert joint.coefficient_of_s(i) == row, (ct, i)
                 classes += 1
         assert classes == 507
+
+    def test_corollary2_rows_of_theorem1_every_class_to_sixteen(self):
+        """Each s^i row of the radical substitution itself against
+        N_i t^i (1+t)^(m-2i), with N_i the factorized count at (i, i)."""
+        classes = 0
+        for n in range(1, 17):
+            for ct in partitions_of(n):
+                m = n - ct.fixed_point_count
+                counts = joint_counts(ClassSpec.of_cycle_type(ct))
+                joint = theorem1_joint(ct)
+                assert joint.s_degree() <= m // 2, ct
+                for i in range(m // 2 + 1):
+                    row = counts.get((i, i), 0) * T**i * (1 + T) ** (m - 2 * i)
+                    assert joint.coefficient_of_s(i) == row, (ct, i)
+                classes += 1
+        assert classes == 914
 
 
 class TestLemma1:
