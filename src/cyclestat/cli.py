@@ -77,8 +77,11 @@ def _parse(parser, *args):
         raise _BadInput(err) from None
 
 
+_JSON = json.JSONEncoder(sort_keys=True)
+
+
 def _print_json(record: dict) -> None:
-    print(json.dumps(record, sort_keys=True))
+    print(_JSON.encode(record))
 
 
 def cmd_stats(args) -> int:

@@ -54,7 +54,6 @@ subcommand; ``claim_reports`` yields each claim's reports over its range.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -77,8 +76,10 @@ from .enumeration import (
     joint_counts,
     orbit_representatives,
 )
-from .hopping import orbit
-from .permutations import CycleType, Permutation, stat_counts
+# ``orbit`` is no longer called here, but stays importable from this module:
+# benchmarks/test_benchmark.py checks that the tracer wraps and restores it here.
+from .hopping import orbit, orbit_counts  # noqa: F401
+from .permutations import CycleType, Permutation
 
 __all__ = [
     "VerificationReport",
@@ -344,12 +345,12 @@ def lemma1_check(sigma: Permutation) -> VerificationReport:
         (s+t)^(exc-cval) (1+st)^(m-cval-exc) t^cval (1+s)^(2 cval),
 
     checked with the orbit's members grouped by (cval, exc). Every
-    orbit is walked and every member measured; only the two sides built
-    from the resulting counts are memoized, per (m, counts).
+    orbit is walked and every distinct member measured on the walk's own
+    links (:func:`~cyclestat.hopping.orbit_counts`); only the two sides
+    built from the resulting counts are memoized, per (m, counts).
     """
-    report = orbit(sigma, collect_members=True)
-    counts = Counter((c.cval, c.exc) for c in map(stat_counts, report.members))
-    m = sigma.n - report.fix
+    fix, counts = orbit_counts(sigma)
+    m = sigma.n - fix
     return _cleared_identity("lemma1", {"sigma": list(sigma.word)}, counts, m)
 
 

@@ -38,11 +38,13 @@ and contains exactly one member without cyclic double ascents; ``orbit``
 computes all of this by explicit enumeration, one relink per member, on
 one pair of flat lists. It reads the representative off that walk, at
 the step that has hopped exactly the double ascents, rather than calling
-``psi`` for it.
+``psi`` for it. ``orbit_counts`` takes the same walk one step at a time
+and classifies each distinct member on the live lists as it is met, so
+Lemma 1 counts the orbit by (cval, exc) without building a single
+``Permutation`` of it.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .algebra import MultiPoly
@@ -50,7 +52,6 @@ from .enumeration import ClassTooLargeError
 from .permutations import (
     Permutation,
     left_to_right_maxima,
-    stat_counts,
     _cycles_of_word,
     _link_classes,
     _links,
@@ -66,6 +67,7 @@ __all__ = [
     "psi",
     "OrbitReport",
     "orbit",
+    "orbit_counts",
     "orbit_exc_polynomial",
 ]
 
@@ -237,6 +239,18 @@ class OrbitReport:
     members: tuple[Permutation, ...] | None = None
 
 
+def _start(
+    p: Permutation,
+) -> tuple[list[int], list[int], tuple[list[int], ...], list[int]]:
+    """The start of the orbit walk: p's links, their letter classes and
+    the sorted toggle letters, once the orbit has passed the guardrail."""
+    nxt, prv = _links(p.word)
+    classes = _link_classes(nxt, prv)
+    toggles = sorted(classes[3] + classes[4])
+    ClassTooLargeError.check(1 << len(toggles), "the orbit of %s", p)
+    return nxt, prv, classes, toggles
+
+
 def orbit(p: Permutation, collect_members: bool = False) -> OrbitReport:
     """Enumerate the orbit of p under the cycle-level hopping action.
 
@@ -257,11 +271,8 @@ def orbit(p: Permutation, collect_members: bool = False) -> OrbitReport:
     >>> rep.size, [str(m) for m in rep.members], str(rep.representative)
     (2, ['231', '312'], '312')
     """
-    nxt, prv = _links(p.word)
-    _, cval, _, cdasc, cddes, fix = _link_classes(nxt, prv)
-    toggles = sorted(cdasc + cddes)
+    nxt, prv, (_, cval, _, cdasc, _, fix), toggles = _start(p)
     walk = 1 << len(toggles)
-    ClassTooLargeError.check(walk, "the orbit of %s", p)
     rising = set(cdasc)
     at = 0  # the step whose Gray code is the mask of the double ascents
     for bit, x in enumerate(toggles):
@@ -282,12 +293,38 @@ def orbit(p: Permutation, collect_members: bool = False) -> OrbitReport:
     )
 
 
+def orbit_counts(p: Permutation) -> tuple[int, dict[tuple[int, int], int]]:
+    """The number of fixed points of p, and the members of its orbit
+    counted by (cval, exc).
+
+    The walk is :func:`orbit`'s, taken one step at a time, so that
+    ``orbit``'s own loop pays nothing for the measuring. Each distinct
+    member is classified once, on the links the walk has just relinked,
+    when its word is first met; p itself is classified at the start. So
+    the counts are measured, not derived from the hops, and they total
+    the orbit's size.
+
+    >>> orbit_counts(Permutation((2, 3, 1)))
+    (0, {(1, 2): 1, (1, 1): 1})
+    """
+    nxt, prv, (exc, cval, _, _, _, fix), toggles = _start(p)
+    counts = {(len(cval), len(exc)): 1}
+    words = {p.word}
+    for step in range(1, 1 << len(toggles)):
+        met = len(words)
+        _walk(nxt, prv, toggles, range(step, step + 1), words)
+        if len(words) > met:
+            exc, cval = _link_classes(nxt, prv)[:2]
+            key = len(cval), len(exc)
+            counts[key] = counts.get(key, 0) + 1
+    return len(fix), counts
+
+
 def _walk(
     nxt: list[int], prv: list[int], toggles: list[int], steps: range, words: set
 ) -> None:
-    """Take the Gray-order steps of :func:`orbit`'s walk, adding each
-    member met to ``words``: step j relinks the letter of j's lowest set
-    bit."""
+    """Take the Gray-order steps of the orbit walk, adding each member met
+    to ``words``: step j relinks the letter of j's lowest set bit."""
     for step in steps:
         bit = (step & -step).bit_length() - 1
         _relink(nxt, prv, toggles[bit])
@@ -296,7 +333,7 @@ def _walk(
 
 def orbit_exc_polynomial(p: Permutation) -> MultiPoly:
     """Sum of t^exc over the orbit of p; equals t^cval (1+t)^(n-fix-2 cval)."""
-    excs = Counter(
-        stat_counts(member).exc for member in orbit(p, collect_members=True).members
-    )
-    return MultiPoly({(0, exc): count for exc, count in excs.items()})
+    terms = {}
+    for (_, exc), count in orbit_counts(p)[1].items():
+        terms[0, exc] = terms.get((0, exc), 0) + count
+    return MultiPoly(terms)

@@ -255,6 +255,15 @@ CATALOGUE = (
         "an orbit's size counts the distinct members the walk meets",
     ),
     Mutant(
+        "orbit-counts-every-step",
+        "src/cyclestat/hopping.py",
+        "if len(words) > met:",
+        "if True:",
+        "killed",
+        "Lemma 1's counts are of the distinct members the walk meets, not "
+        "of its steps",
+    ),
+    Mutant(
         "valley-tables-keep-all",
         "src/cyclestat/enumeration.py",
         "c == e for c, e",

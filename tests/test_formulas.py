@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -43,6 +42,7 @@ from cyclestat.formulas import (
     theorem5_check,
     theorem6_cval,
 )
+from cyclestat.hopping import orbit
 from cyclestat.permutations import CycleType, identity, parse_permutation
 
 from conftest import oracle_cval, oracle_exc
@@ -308,19 +308,23 @@ class TestLemma1:
         # at their first differing coefficient, not reuse the passing ones.
         sigma = parse_permutation("(5,2,1)(6)(8)(11,9,10,4,3,7)")
         assert lemma1_check(sigma).passed
-        walk = formulas.orbit
+        members = orbit(sigma, collect_members=True).members
+        dropped = (oracle_cval(members[0].word), oracle_exc(members[0].word))
+        measure = formulas.orbit_counts
 
-        def short_orbit(p, collect_members=False):
-            report = walk(p, collect_members)
-            return replace(report, members=report.members[1:])
+        def short_counts(p):
+            fix, counts = measure(p)
+            counts = dict(counts)
+            counts[dropped] -= 1
+            return fix, {key: c for key, c in counts.items() if c}
 
-        monkeypatch.setattr(formulas, "orbit", short_orbit)
+        monkeypatch.setattr(formulas, "orbit_counts", short_counts)
         report = lemma1_check(sigma)
         assert not report.passed
 
         m = sigma.n - 2  # two fixed points, 6 and 8
         lhs = rhs = MultiPoly.zero()
-        for p in walk(sigma, collect_members=True).members[1:]:
+        for p in members[1:]:
             exc, cval = oracle_exc(p.word), oracle_cval(p.word)
             lhs = lhs + T**exc * (ONE + S) ** m
             rhs = rhs + (

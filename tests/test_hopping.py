@@ -13,6 +13,7 @@ from cyclestat.hopping import (
     foata,
     foata_inverse,
     orbit,
+    orbit_counts,
     orbit_exc_polynomial,
     phi,
     psi,
@@ -29,7 +30,14 @@ from cyclestat.permutations import (
     to_cycle_form,
 )
 
-from conftest import all_perms, oracle_phi, oracle_psi
+from conftest import (
+    all_perms,
+    oracle_cval,
+    oracle_exc,
+    oracle_fix,
+    oracle_phi,
+    oracle_psi,
+)
 
 
 def all_subsets(letters):
@@ -305,6 +313,46 @@ class TestOrbitCap:
         monkeypatch.setattr(hopping, "_relink", self.refuse_relink)
         with pytest.raises(ClassTooLargeError, match=str(2**38)):
             orbit(Permutation((*range(2, 41), 1)))
+
+
+class TestOrbitCounts:
+    """``orbit_counts`` measures each distinct member the walk meets."""
+
+    def test_counts_match_the_oracle_over_the_members(self):
+        for n in range(8):
+            for p in all_perms(n):
+                fix, counts = orbit_counts(p)
+                members = orbit(p, collect_members=True).members
+                expected = {}
+                for m in members:
+                    key = oracle_cval(m.word), oracle_exc(m.word)
+                    expected[key] = expected.get(key, 0) + 1
+                assert counts == expected, p
+                assert sum(counts.values()) == orbit(p).size
+                assert fix == oracle_fix(p.word)
+
+    def test_above_cap_raises_before_the_walk(self, monkeypatch):
+        monkeypatch.setenv("CYCLESTAT_CLASS_CAP", "4")
+        monkeypatch.setattr(hopping, "_relink", TestOrbitCap.refuse_relink)
+        with pytest.raises(ClassTooLargeError, match="8 members"):
+            orbit_counts(parse_permutation("(5,2,1)(6)(8)(11,9,10,4,3,7)"))
+
+    def test_counts_the_members_the_walk_meets(self, monkeypatch):
+        # A relink that never moves one toggle letter makes the walk meet
+        # each member twice; the counts must hold each member once.
+        p = parse_permutation("(5,2,1)(6)(8)(11,9,10,4,3,7)")
+        sets = stat_sets(p)
+        toggles = sets.cdasc_set | sets.cddes_set
+        skipped = min(toggles)
+        relink = hopping._relink
+
+        def skipping_relink(nxt, prv, x):
+            if x != skipped:
+                relink(nxt, prv, x)
+
+        monkeypatch.setattr(hopping, "_relink", skipping_relink)
+        total = sum(orbit_counts(p)[1].values())
+        assert total == 2 ** (len(toggles) - 1) < 2 ** len(toggles)
 
 
 class TestOrbitExcPolynomial:

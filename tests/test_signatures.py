@@ -1,7 +1,8 @@
 """The public surface. The call surface of the functions that once took a
 member cap, a truncation order or word boundaries, and of the claim
-catalogue behind ``verify``: their parameter names are pinned, so a
-removed option cannot come back unnoticed. So are the fields of
+catalogue behind ``verify``, and of the two orbit walks: their parameter
+names are pinned, so a removed option cannot come back unnoticed, nor
+can a new one slip in. So are the fields of
 ``Theorem2Gamma``, which once carried a third, unread gamma reading. The
 package exports exactly the names its modules list in ``__all__``;
 ``formulas`` and ``cli`` import no private name of another module, and
@@ -30,7 +31,7 @@ from cyclestat.formulas import (
     theorem1_joint,
     theorem6_cval,
 )
-from cyclestat.hopping import XFactorization, x_factorize
+from cyclestat.hopping import XFactorization, orbit, orbit_counts, x_factorize
 
 PARAMETERS = {
     iter_class: ["spec"],
@@ -45,6 +46,8 @@ PARAMETERS = {
     claim_reports: ["claim", "n_max", "lambdas"],
     corollary2_check: ["ct"],
     x_factorize: ["word", "x"],
+    orbit: ["p", "collect_members"],
+    orbit_counts: ["p"],
     XFactorization: ["w1", "w2", "x", "w4", "w5"],
 }
 
