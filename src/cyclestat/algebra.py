@@ -20,13 +20,15 @@ inverse, division, square root, and the order it loses in a division by
 s or t. The truncating product keys each term (a, b) by the packed
 integer a*(order+1) + b, which is exact because no t-degree within the
 order reaches the packing width. A power of a series with a nonzero
-constant term, inverse and square root are solved one total degree at
-a time; the square root divides only by 2, so an integral radicand whose
-root is integral never builds a ``Fraction``. It exists to evaluate
-substitution formulas whose closed forms contain radicals; whenever the
-represented function is actually a polynomial, ``to_poly`` recovers it
-and loudly rejects leftover high-order terms (the sign of a too-small
-truncation order).
+constant term, inverse and square root are one recurrence, J. C. P.
+Miller's for the exponent p/q (k/1, -1/1 and 1/2), solved one total
+degree at a time on the same packed keys; every division in it is
+exact and gives an int whenever its quotient is integral, so an
+integral radicand whose root is integral never builds a ``Fraction``.
+It exists to evaluate substitution formulas whose closed forms contain
+radicals; whenever the represented function is actually a polynomial,
+``to_poly`` recovers it and loudly rejects leftover high-order terms
+(the sign of a too-small truncation order).
 
 ``eulerian(n)`` is the classic descent-counting polynomial, normalized so
 that the lowest term is t^1 for n >= 1 (and 1 for n = 0); it is computed
@@ -102,12 +104,10 @@ def _convolve(
     acc: dict[Exponents, Scalar],
     a: Mapping[Exponents, Scalar],
     b: Mapping[Exponents, Scalar],
-    scale: Scalar = 1,
 ) -> None:
-    """acc += scale * a * b, on term dicts."""
+    """acc += a * b, on term dicts."""
     get = acc.get
-    items = a.items() if scale == 1 else [(key, x * scale) for key, x in a.items()]
-    for (i, j), x in items:
+    for (i, j), x in a.items():
         for (k, l), y in b.items():
             key = (i + k, j + l)
             acc[key] = get(key, 0) + x * y
@@ -447,7 +447,10 @@ class TruncSeries(MultiPoly):
     exact in the quotient ring. The ring operations, scalar products and
     factor extractions are ``MultiPoly``'s; combining a series with a
     polynomial, a scalar or another series gives a series at the smaller
-    order, on either side.
+    order, on either side. A power with a nonzero constant term, the
+    inverse and the square root are one recurrence for the exponent p/q
+    (:meth:`_rational_power`), which reads each new total degree off the
+    lower ones.
 
     >>> one = TruncSeries.from_poly(MultiPoly.one(), 3)
     >>> t = TruncSeries.from_poly(MultiPoly.t(), 3)
@@ -522,70 +525,54 @@ class TruncSeries(MultiPoly):
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "TruncSeries":
-        """self^k in one pass when the constant term c is nonzero.
+    def _rational_power(self, p: int, q: int, first: Scalar) -> "TruncSeries":
+        """self^(p/q) with constant term ``first``, in one pass.
 
-        Solves g = f^k one total degree at a time by the Euler-operator
-        recurrence (J. C. P. Miller; Knuth, TAOCP vol. 2, 4.7): with f_i,
-        g_i the parts of degree i, g_0 = c^k and
-        d c g_d = sum over 1 <= i <= d of ((k+1) i - d) f_i g_(d-i),
-        each quotient exact, on packed exponents as in the product. A
-        series without a constant term (such as an Eulerian factor
-        A_d(x)) is raised by ``MultiPoly``'s repeated squaring.
+        Solves g = f^(p/q) one total degree at a time by the Euler-operator
+        recurrence (J. C. P. Miller; Knuth, TAOCP vol. 2, 4.7), which holds
+        for any rational exponent: with c the constant term of f and f_i,
+        g_i the parts of degree i, g_0 = first and
+        q d c g_d = sum over 1 <= i <= d of ((p+q) i - q d) f_i g_(d-i),
+        each quotient exact, on packed exponents as in the product.
         """
-        c = self._terms.get((0, 0), 0)
-        if not c or not isinstance(exponent, int) or exponent < 0:
-            return super().__pow__(exponent)
-        k = exponent
+        c = self._terms[(0, 0)]
         width = self.order + 1
         f = _packed_parts(self._terms, width)
-        g = [[(0, c**k)]]
+        g = [[(0, first)]]
         for d in range(1, width):
             acc: dict[int, Scalar] = {}
             get = acc.get
             for i, part in enumerate(f[1 : d + 1], 1):
-                weight = (k + 1) * i - d
+                weight = (p + q) * i - q * d
                 lower = g[d - i]
-                for p, x in part:
+                for key, x in part:
                     x *= weight
-                    for q, y in lower:
-                        q += p
-                        acc[q] = get(q, 0) + x * y
-            g.append(
-                [(key, _quotient(value, d * c)) for key, value in acc.items() if value]
-            )
+                    for other, y in lower:
+                        other += key
+                        acc[other] = get(other, 0) + x * y
+            divisor = q * d * c
+            g.append([(key, _quotient(v, divisor)) for key, v in acc.items() if v])
         return TruncSeries(_unpacked(chain.from_iterable(g), width), self.order)
 
-    def _graded(self) -> list[dict[Exponents, Scalar]]:
-        """The homogeneous parts of total degree 0..order."""
-        parts: list[dict[Exponents, Scalar]] = [{} for _ in range(self.order + 1)]
-        for key, value in self._terms.items():
-            parts[key[0] + key[1]][key] = value
-        return parts
-
-    def _from_graded(self, parts: list[dict[Exponents, Scalar]]) -> "TruncSeries":
-        return TruncSeries(
-            {key: value for part in parts for key, value in part.items()}, self.order
-        )
+    def __pow__(self, exponent: int) -> "TruncSeries":
+        """self^k in one pass of :meth:`_rational_power` (p/q = k/1, g_0 =
+        c^k) when the constant term c is nonzero. A series without a
+        constant term is raised by ``MultiPoly``'s repeated squaring."""
+        c = self._terms.get((0, 0), 0)
+        if not c or not isinstance(exponent, int) or exponent < 0:
+            return super().__pow__(exponent)
+        return self._rational_power(exponent, 1, c**exponent)
 
     def inverse(self) -> "TruncSeries":
-        """Multiplicative inverse; requires a nonzero constant term.
+        """Multiplicative inverse; requires a nonzero constant term c.
 
-        Solves g * self = 1 one total degree at a time: with c the
-        constant term and f_i, g_i the parts of degree i,
-        g_d = -(1/c) * sum over 1 <= i <= d of f_i g_(d-i).
+        One pass of :meth:`_rational_power` with p/q = -1 and g_0 = 1/c,
+        where the recurrence reads g_d = -(1/c) * sum of f_i g_(d-i).
         """
         c = self._terms.get((0, 0), 0)
         if not c:
             raise ValueError("cannot invert a series with zero constant term")
-        f = self._graded()
-        g = [{(0, 0): _quotient(1, c)}]
-        for d in range(1, self.order + 1):
-            acc: dict[Exponents, Scalar] = {}
-            for i in range(1, d + 1):
-                _convolve(acc, f[i], g[d - i])
-            g.append({key: _quotient(-value, c) for key, value in acc.items() if value})
-        return self._from_graded(g)
+        return self._rational_power(-1, 1, _quotient(1, c))
 
     def __truediv__(self, other) -> "TruncSeries":
         if isinstance(other, (int, Fraction)):
@@ -603,9 +590,10 @@ class TruncSeries(MultiPoly):
     def sqrt(self) -> "TruncSeries":
         """Square root with constant term 1 (the +1 branch).
 
-        Solves g^2 = self one total degree at a time: with f_i, g_i the
-        parts of degree i, 2 g_d = f_d - sum over 0 < i < d of g_i g_(d-i).
-        The only division is by 2, so an integral root stays integral.
+        One pass of :meth:`_rational_power` with p/q = 1/2 and g_0 = 1,
+        where the recurrence reads 2 d g_d = sum of (3i - 2d) f_i g_(d-i).
+        Every quotient is exact and stays an int when it is integral, so
+        an integral root never builds a ``Fraction``.
 
         >>> t = TruncSeries.from_poly(MultiPoly.t(), 3)
         >>> (1 - t).sqrt().terms[(0, 1)]
@@ -613,17 +601,7 @@ class TruncSeries(MultiPoly):
         """
         if self._terms.get((0, 0), 0) != 1:
             raise ValueError("square root requires constant term exactly 1")
-        f = self._graded()
-        g = [{(0, 0): 1}]
-        for d in range(1, self.order + 1):
-            acc = dict(f[d])
-            # The sum pairs g_i with g_(d-i): count each unequal pair twice.
-            for i in range(1, (d + 1) // 2):
-                _convolve(acc, g[i], g[d - i], -2)
-            if d % 2 == 0:
-                _convolve(acc, g[d // 2], g[d // 2], -1)
-            g.append({key: _quotient(value, 2) for key, value in acc.items() if value})
-        return self._from_graded(g)
+        return self._rational_power(1, 2, 1)
 
     def extract_t_factor(self) -> "TruncSeries":
         """Divide by t, reducing the truncation order by one."""

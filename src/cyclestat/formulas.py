@@ -23,15 +23,20 @@ These three share one Brenti product,
 (n!/z_lambda) * core^(n - m_1) * prod [A_(i-1)(x)/(i-1)!]^(m_i), and
 differ only in the pair (core, x): (1, t) for ``brenti``,
 ((1+u)/(1+uv), v) for Theorem 1 and (1 + sqrt(1-t), w) for Theorem 6.
-For Theorems 1 and 6 each pair (core, x) depends only on the truncation
-order, not on the class, so it is built once per order, with its
-factors A_d(x), each summed into one dict from one shared table of the
-powers of x. A class then costs only its own product, in which the core
-is cut to the order the Eulerian factors leave before it is raised to
-its power: those factors have no term below a known degree V, so the
-terms of the power above N - V would land above the product's order N.
-The core has a nonzero constant term, so that power is one pass of
-``TruncSeries``'s power recurrence rather than repeated squaring.
+Substitution is a ring homomorphism, so the Eulerian part is P(x) for
+one polynomial P(X) in ZZ[X] of degree at most n: each class multiplies
+its Eulerian polynomials as plain lists of ints, with the scalar folded
+in, and ``brenti`` reads P at X = t with no further product. For
+Theorems 1 and 6 each pair (core, x) depends only on the truncation
+order, not on the class, so it is built once per order, with one table
+of the powers x^J shared by every class. A class then costs one linear
+combination sum_J P_J x^J of those powers, one power of the core and
+one series product. The core is cut to the order P(x) leaves before it
+is raised to its power: P(x) has no term below a degree V read off its
+terms, so the terms of the power above N - V would land above the
+product's order N. The core has a nonzero constant term, so that power
+is one pass of ``TruncSeries``'s power recurrence rather than repeated
+squaring.
 * ``lemma1_check`` / ``theorem4_check`` / ``theorem5_check``: identities
   relating the excedance distribution to the joint (or cval)
   distribution over any hop-invariant family, verified in cleared
@@ -150,71 +155,83 @@ def _require_integral(p: MultiPoly, context: str) -> MultiPoly:
     return p
 
 
-def _brenti_product(ct: CycleType, core: MultiPoly, factor) -> MultiPoly:
-    """Brenti's product with core and Eulerian factors substituted:
-    (n!/z_lambda) * core^(n - m_1) * prod over part sizes i of
-    [factor(i-1)/(i-1)!]^(m_i), where factor(d) is A_d(x): ``eulerian``
-    itself for ``brenti`` (x = t), series for Theorems 1 and 6.
+def _eulerian_product(ct: CycleType) -> list[int]:
+    """The coefficients, lowest degree first, of Brenti's product as a
+    polynomial in X: (n!/z_lambda) * prod over part sizes i of
+    [A_(i-1)(X)/(i-1)!]^(m_i), in ZZ[X], of degree at most n.
 
-    The Eulerian factors are multiplied unscaled and the scalar is applied
-    once, as the integer multinomial n!/prod_i(i!^(m_i) m_i!), which is
-    (n!/z_lambda)/prod_i (i-1)!^(m_i).
-
-    When the Eulerian part P is a series of order N whose lowest total
-    degree is V, the core is cut to order N - V before it is raised to
-    its power: a term of core^k above N - V meets only terms of P of
-    degree >= V, so it lands above N. P times that power, read as a
-    polynomial, keeps P's order N. A polynomial P (``brenti``, or the
-    empty class, which has no factor) takes the plain product."""
-    part = MultiPoly.one()
+    The factors A_d(X) are multiplied unscaled, on plain lists of ints,
+    and the scalar is folded into the coefficients once, as the integer
+    multinomial n!/prod_i(i!^(m_i) m_i!), which is
+    (n!/z_lambda)/prod_i (i-1)!^(m_i)."""
+    product = [1]
     denominator = 1
     for size, mult in sorted(ct.multiplicities.items()):
         denominator *= factorial(size) ** mult * factorial(mult)
-        part = part * factor(size - 1) ** mult
+        row = [(j, c) for (_, j), c in eulerian(size - 1)._terms.items()]
+        for _ in range(mult):
+            acc = [0] * (len(product) + size - 1)
+            for j, c in row:
+                for i, x in enumerate(product):
+                    acc[i + j] += c * x
+            product = acc
+    scalar = factorial(ct.n) // denominator
+    return [c * scalar for c in product]
+
+
+def _brenti_product(ct: CycleType, core: TruncSeries, power) -> TruncSeries:
+    """Brenti's product with core and x substituted:
+    core^(n - m_1) * P(x), where P is :func:`_eulerian_product` and
+    power(J) is x^J from the shared table of :func:`_eulerian_at`.
+
+    P(x) = sum_J P_J x^J is one linear combination of cached powers,
+    because substitution is a ring homomorphism: no A_d(x) is built or
+    raised, and the scalar is already in P. When P(x), of order N, has
+    lowest total degree V, the core is cut to order N - V before it is
+    raised to its power: a term of core^k above N - V meets only terms
+    of P(x) of degree >= V, so it lands above N. P(x) times that power,
+    read as a polynomial, keeps P(x)'s order N."""
+    terms: dict = {}
+    for j, c in enumerate(_eulerian_product(ct)):
+        if c:
+            for key, value in power(j)._terms.items():
+                terms[key] = terms.get(key, 0) + c * value
+    part = power(0)._new(terms)
     k = ct.n - ct.fixed_point_count
-    if isinstance(part, TruncSeries):
-        cut = TruncSeries.from_poly(core, part.order - min(map(sum, part._terms)))
-        result = part * MultiPoly((cut**k)._terms)
-    else:
-        result = core**k * part
-    return result * (factorial(ct.n) // denominator)
+    cut = TruncSeries.from_poly(core, part.order - min(map(sum, part._terms)))
+    return part * MultiPoly((cut**k)._terms)
 
 
 def brenti(ct: CycleType) -> MultiPoly:
     """Excedance distribution over the class of cycle type lambda:
-    (n!/z_lambda) * prod over part sizes i of [A_(i-1)(t)/(i-1)!]^(m_i).
+    (n!/z_lambda) * prod over part sizes i of [A_(i-1)(t)/(i-1)!]^(m_i),
+    read off :func:`_eulerian_product` at X = t.
 
     >>> str(brenti(CycleType((3,))))
     't + t^2'
     """
-    return _require_integral(
-        _brenti_product(ct, MultiPoly.one(), eulerian), "brenti"
-    )
+    product = MultiPoly({(0, j): c for j, c in enumerate(_eulerian_product(ct))})
+    return _require_integral(product, "brenti")
 
 
 def _eulerian_at(x: TruncSeries):
-    """d -> A_d(x), each factor built once, as sum_j c_j x^j read from one
-    table of powers [1, x, x^2, ...] that grows as higher d ask for it,
-    so every power of x is multiplied out once for all d. Every c_j x^j
-    term is added into one dict, from which one series is built."""
+    """J -> x^J, from one table of powers [1, x, x^2, ...] that grows as
+    higher J are asked for, so every power of x is multiplied out once
+    for all classes at x's order. Once a power is zero every higher one
+    is too, so the table stops growing there and answers that zero."""
     powers = [x._new({(0, 0): 1})]
 
-    @lru_cache(maxsize=None)
-    def factor(d: int) -> TruncSeries:
-        while len(powers) <= d:
+    def power(j: int) -> TruncSeries:
+        while len(powers) <= j and powers[-1]._terms:
             powers.append(powers[-1] * x)
-        terms: dict = {}
-        for (_, j), c in eulerian(d)._terms.items():
-            for key, value in powers[j]._terms.items():
-                terms[key] = terms.get(key, 0) + c * value
-        return x._new(terms)
+        return powers[min(j, len(powers) - 1)]
 
-    return factor
+    return power
 
 
 @lru_cache(maxsize=None)
 def _theorem1_series(order: int):
-    """Theorem 1's pair ((1+u)/(1+uv), d -> A_d(v)) at one truncation
+    """Theorem 1's pair ((1+u)/(1+uv), J -> v^J) at one truncation
     order; it depends on no class, so each order builds it once per
     process. The series u(s,t), v(s,t) have radicand (1+t)^2 - 4st:
 
@@ -243,7 +260,7 @@ def _theorem1_series(order: int):
 
 @lru_cache(maxsize=None)
 def _theorem6_series(order: int):
-    """Theorem 6's pair (1 + sqrt(1-4x), d -> A_d(w)) at t = 4x, built
+    """Theorem 6's pair (1 + sqrt(1-4x), J -> w^J) at t = 4x, built
     once per truncation order, as :func:`_theorem1_series`."""
     root = TruncSeries.from_poly(MultiPoly.one() - 4 * MultiPoly.t(), order).sqrt()
     w = (1 - root).extract_t_factor() / 2 - 1

@@ -177,18 +177,20 @@ CATALOGUE = (
     Mutant(
         "sqrt-cross-weight",
         "src/cyclestat/algebra.py",
-        "_convolve(acc, g[i], g[d - i], -2)",
-        "_convolve(acc, g[i], g[d - i], -1)",
+        "self._rational_power(1, 2, 1)",
+        "self._rational_power(-1, 2, 1)",
         "killed",
-        "each unequal pair g_i g_(d-i) occurs twice in the square",
+        "the square root weighs f_i g_(d-i) by 3i - 2d, the recurrence's "
+        "weight at p/q = 1/2, not by the i - 2d of p/q = -1/2",
     ),
     Mutant(
         "inverse-one-term-short",
         "src/cyclestat/algebra.py",
-        "for i in range(1, d + 1):",
-        "for i in range(1, d):",
+        "enumerate(f[1 : d + 1], 1)",
+        "enumerate(f[1:d], 1)",
         "killed",
-        "the inverse's degree-d part sums f_i g_(d-i) up to i = d",
+        "the degree-d part of a power, inverse or square root sums "
+        "f_i g_(d-i) up to i = d",
     ),
     Mutant(
         "brenti-multinomial-no-mult-factorial",
@@ -304,10 +306,19 @@ CATALOGUE = (
     Mutant(
         "power-table-shift",
         "src/cyclestat/formulas.py",
-        "in powers[j]._terms.items():",
-        "in powers[j - 1]._terms.items():",
+        "in power(j)._terms.items():",
+        "in power(j - 1)._terms.items():",
         "killed",
-        "A_d(x) = sum_j c_j x^j reads x^j from the power table",
+        "P(x) = sum_J P_J x^J reads x^J from the power table",
+    ),
+    Mutant(
+        "eulerian-row-unshifted",
+        "src/cyclestat/formulas.py",
+        "acc[i + j] += c * x",
+        "acc[i + j - 1] += c * x",
+        "killed",
+        "A_d(X) = sum_j c_j X^(j+1) for d >= 1, where c_j counts the "
+        "permutations of [d] with j descents: its lowest term is X, not 1",
     ),
     Mutant(
         "packed-width-order",
@@ -321,16 +332,16 @@ CATALOGUE = (
     Mutant(
         "power-recurrence-weight",
         "src/cyclestat/algebra.py",
-        "(k + 1) * i - d",
-        "k * i - d",
+        "(p + q) * i - q * d",
+        "p * i - q * d",
         "killed",
-        "the Euler operator gives d c g_d = sum ((k+1) i - d) f_i g_(d-i)",
+        "the Euler operator gives q d c g_d = sum ((p+q) i - q d) f_i g_(d-i)",
     ),
     Mutant(
         "power-recurrence-divisor",
         "src/cyclestat/algebra.py",
-        "_quotient(value, d * c)",
-        "_quotient(value, d)",
+        "divisor = q * d * c",
+        "divisor = q * d",
         "killed",
         "the recurrence divides by d times the constant term, which is 2 in "
         "Theorem 6's core and a Fraction in the power tests",

@@ -492,7 +492,8 @@ class TestRingProperties:
     def test_mixed_operations_take_the_smaller_order(self, p, o1, o2, data):
         x = data.draw(series_at(o1))
         y = data.draw(series_at(o2))
-        for result in (p + x, x + p, p - x, x - p, p * x, x * p):
+        k = data.draw(scalars)
+        for result in (p + x, x + p, p - x, x - p, p * x, x * p, k * x, x * k):
             assert isinstance(result, TruncSeries) and result.order == o1
         assert p * x == TruncSeries.from_poly(p * x.to_poly(o1), o1)
         assert x - p == TruncSeries.from_poly(x.to_poly(o1) - p, o1)

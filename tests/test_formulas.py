@@ -58,12 +58,12 @@ def pad_product(monkeypatch):
     Only degree n + 1 shows this fault, so a closed form must carry that
     degree in its series and must not take it into its polynomial. (A
     monomial of degree n + 1 in the core would reach the product only
-    above degree n + 1: the factors A_d(x), d >= 1, have no constant
-    term.)"""
+    above degree n + 1: the Eulerian part P(x) has no constant term
+    once the class has a cycle longer than 1.)"""
     build = formulas._brenti_product
 
-    def padded(ct, core, factor):
-        return build(ct, core, factor) + T ** (ct.n + 1)
+    def padded(ct, core, power):
+        return build(ct, core, power) + T ** (ct.n + 1)
 
     monkeypatch.setattr(formulas, "_brenti_product", padded)
 
@@ -170,8 +170,8 @@ class TestTheorem6:
 class TestResidueReach:
     """Every class's product reaches ``to_poly(n)`` at its full order, so
     the residue check reads degrees above n for each class, not only for
-    the one that ``pad_product`` pads. (The empty class, n = 0, has no
-    Eulerian factor, so Theorem 6's product keeps its core's order.)"""
+    the one that ``pad_product`` pads. The empty class, n = 0, takes
+    the same route: its Eulerian part is the power x^0 at x's order."""
 
     @pytest.mark.parametrize(
         "closed_form, headroom",
@@ -187,7 +187,7 @@ class TestResidueReach:
             return to_poly(self, max_total_degree)
 
         monkeypatch.setattr(TruncSeries, "to_poly", recording)
-        for n in range(1, 13):
+        for n in range(0, 13):
             for ct in partitions_of(n):
                 orders.clear()
                 closed_form(ct)
@@ -221,6 +221,10 @@ class TestBeyondEnumeration:
         for n in (15, 16):
             for ct in partitions_of(n):
                 self.assert_routes_agree(ct)
+
+    def test_every_class_of_seventeen(self):
+        for ct in partitions_of(17):
+            self.assert_routes_agree(ct)
 
     def test_single_cycles(self):
         # Both sides multiply over cycles, so a class-level theorem
