@@ -496,7 +496,10 @@ def joint_counts(
     ``route="factorize"`` multiplies single-cycle distributions (see
     :func:`_factorized_counts`) and visits no member, so its cost follows
     the number of (cval, exc) pairs, not the class size.
-    ``route="enumerate"`` visits every member; it is the brute-force
+    ``route="enumerate"`` splits [n] into cycles member by member, in
+    the cycle recursion of :func:`iter_class`, and reads each cycle's
+    (cval, exc) from :func:`_cycle_tables`, so it adds every member's
+    statistics one at a time but classifies no member word. It is the
     oracle the closed forms are checked against, and the only route the
     :func:`class_cap` guardrail applies to.
 

@@ -4,8 +4,12 @@ Each operation here has a brute-force counterpart in
 :mod:`cyclestat.enumeration`; the point of this module is to compute the
 same polynomials along an entirely different route and to package the
 comparison as machine-checkable reports. Every check compares against
-``route="enumerate"``, which visits each member, never against the
-factorized default route.
+``route="enumerate"``, never against the factorized default route. The
+enumerate route splits [n] into cycles member by member and reads each
+cycle's (cval, exc) from a table of that cycle size's orders, adding
+them up per member; it classifies no member word. So it shares the
+factorized route's per-cycle additivity, but not its multinomial count
+of the splits or its insertion recursion for the per-cycle counts.
 
 The routes implemented:
 

@@ -11,34 +11,40 @@ indexed by letters x in [n]:
   making x "hop" over its smaller neighbours. Peaks and valleys are left
   alone.
 
-* ``psi`` is defined through the word obtained by erasing the parentheses
-  of the canonical cycle form (``foata``): the letter hops there, with a
-  low boundary on the left and a high boundary on the right, and the
-  result is read back into cycle form by cutting at left-to-right maxima
-  (``foata_inverse``). Fixed points never move. This toggles cyclic
-  double ascents and cyclic double descents while preserving cyclic
-  valleys, cyclic peaks, fixed points, and the cycle type.
+* ``psi`` acts on the cycles of p. A letter x that is a cyclic double
+  ascent (p^-1(x) < x < p(x)) or a cyclic double descent
+  (p^-1(x) > x > p(x)) hops over the run of smaller letters beside it in
+  its own cycle: ``_relink`` takes x out from between p^-1(x) and p(x)
+  and puts it back just after a letter y of the same cycle, by
+  re-pointing three images on two flat 1-indexed lists, ``nxt`` (p) and
+  ``prv`` (p^-1). For a double ascent, y is the first larger letter
+  before x's run of smaller predecessors; for a double descent, y is the
+  last letter of its run of smaller successors. Cyclic valleys, cyclic
+  peaks and fixed points stay put. So ``psi`` toggles cyclic double
+  ascents and cyclic double descents while preserving cyclic valleys,
+  cyclic peaks, fixed points, and the cycle type.
 
-Both are one move, the cyclic hop. Each canonical cycle starts with its
-maximum, so a non-fixed letter x never hops out of its cycle, and in the
-word x's neighbours compare with x exactly as its cycle neighbours p^-1(x)
-and p(x) do. A hop therefore moves x to another place in its own cycle: a
-cyclic double ascent goes to just after the first larger letter before its
-run of smaller predecessors, a cyclic double descent to just after the last
-letter of its run of smaller successors. ``_relink`` makes that move on two
-flat 1-indexed lists, ``nxt`` (p) and ``prv`` (p^-1), by re-pointing three
-images. The word action is the one-cycle case: the word w1 ... wn is the
-cycle (n+1, w1, ..., wn), in which n + 1 is the larger letter beyond both
-ends of the word, so ``phi`` relinks that cycle and reads the word back
-after n + 1. The Foata-word definition of ``psi`` and the splicing
-definition of ``phi`` are kept as the test oracles.
+This is Sun and Wang's hop in the word that erases the parentheses of
+the canonical cycle form (``foata``), judged with a low boundary on the
+left and a high one on the right and cut back into cycles at its
+left-to-right maxima (``foata_inverse``). Each canonical cycle starts
+with its maximum, so a non-fixed letter never hops out of its cycle, and
+in that word x's neighbours compare with x exactly as p^-1(x) and p(x)
+do; ``psi`` never builds the word. The word action is the one-cycle
+case: the word w1 ... wn is the cycle (n+1, w1, ..., wn), in which n + 1
+is the larger letter beyond both ends of the word, so ``phi`` relinks
+that cycle and reads the word back after n + 1. The Foata-word
+definition of ``psi`` and the splicing definition of ``phi`` are kept as
+the test oracles.
 
 The orbit of a permutation under ``psi`` has size 2^(n - fix - 2*cval)
 and contains exactly one member without cyclic double ascents; ``orbit``
 computes all of this by explicit enumeration, one relink per member, on
 one pair of flat lists. It reads the representative off that walk, at
 the step that has hopped exactly the double ascents, rather than calling
-``psi`` for it. ``orbit_counts`` takes the same walk one step at a time
+``psi`` for it. Asked for its members, it sorts the words the walk met
+and wraps each with ``Permutation._trusted``, unvalidated, since each is
+a relinked image of a valid permutation. ``orbit_counts`` takes the same walk one step at a time
 and classifies each distinct member on the live lists as it is met, so
 Lemma 1 counts the orbit by (cval, exc) without building a single
 ``Permutation`` of it.

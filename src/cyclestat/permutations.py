@@ -63,9 +63,14 @@ def _validate_word(word: tuple[int, ...]) -> None:
         seen[letter] = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Permutation:
     """A permutation of [n] in one-line notation.
+
+    A slotted frozen value: the word is its one field, held in a slot
+    with no per-instance ``__dict__``, and two permutations are equal,
+    and hash alike, exactly when their words are. The constructor
+    validates its word; :meth:`_trusted` is the one unvalidated path.
 
     >>> p = Permutation((3, 7, 1, 8, 9, 6, 5, 4, 2))
     >>> p(1), p(9)
@@ -77,19 +82,21 @@ class Permutation:
     word: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "word", tuple(self.word))
+        _set_word(self, tuple(self.word))
         _validate_word(self.word)
 
     @classmethod
     def _trusted(cls, word: tuple[int, ...]) -> "Permutation":
-        """Wrap a word already known to be a permutation, unvalidated.
+        """Wrap a tuple already known to be a permutation, unvalidated:
+        a bare instance whose ``word`` slot is stored directly, past the
+        frozen ``__setattr__``.
 
         Only for words the library built from a valid permutation (the
-        hop kernel's relinked images); every outside word goes through
-        the validating constructor.
+        hop kernel's relinked images and the orbit walk's members); every
+        outside word goes through the validating constructor.
         """
-        self = object.__new__(cls)
-        object.__setattr__(self, "word", word)
+        self = _new(cls)
+        _set_word(self, word)
         return self
 
     @property
@@ -108,6 +115,12 @@ class Permutation:
         if self.n <= 9:
             return "".join(str(a) for a in self.word)
         return ",".join(str(a) for a in self.word)
+
+
+# Bound once: the bare allocation and the ``word`` slot's own store, which
+# the frozen ``__setattr__`` would refuse.
+_new = object.__new__
+_set_word = Permutation.word.__set__
 
 
 def from_one_line(word: Sequence[int]) -> Permutation:

@@ -371,6 +371,41 @@ CATALOGUE = (
         "a word with a repeated letter is not a permutation",
     ),
     Mutant(
+        "relink-before-y",
+        "src/cyclestat/hopping.py",
+        "c = nxt[y]\n    nxt[y], prv[x], nxt[x], prv[c] = x, y, c, x",
+        "c = prv[y]\n    nxt[c], prv[x], nxt[x], prv[y] = x, c, y, x",
+        "killed",
+        "a hopping letter is put back just after the letter y, not just before it",
+    ),
+    Mutant(
+        "default-class-cap",
+        "src/cyclestat/enumeration.py",
+        "DEFAULT_CLASS_CAP = 10**8",
+        "DEFAULT_CLASS_CAP = 10**12",
+        "killed",
+        "the default cap is the 10^8 members README and the CLI give; above "
+        "2^38 it would let the walk of a 40-cycle's orbit start",
+    ),
+    Mutant(
+        "orbit-members-unsorted",
+        "src/cyclestat/hopping.py",
+        "tuple(map(Permutation._trusted, sorted(words)))",
+        "tuple(map(Permutation._trusted, list(words)))",
+        "killed",
+        "an orbit's members are sorted by word, not in set order",
+    ),
+    Mutant(
+        "cycle-tables-valley-pattern",
+        "src/cyclestat/enumeration.py",
+        'up.count(b"\\0\\1")',
+        'up.count(b"\\1\\0")',
+        "killed",
+        "a cyclic valley is a descent into an ascent, a 01 of the ascent "
+        "string; counting 10 keeps every class's distribution (reversing "
+        "and complementing an order swaps them) but not each order's",
+    ),
+    Mutant(
         "egf-denominator-sign",
         "src/cyclestat/formulas.py",
         "return power if j % 2 == 0 else -power",

@@ -1,4 +1,5 @@
 import math
+from itertools import permutations as raw_permutations
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from cyclestat.algebra import MultiPoly
 from cyclestat.enumeration import (
     DEFAULT_CLASS_CAP,
+    _cycle_tables,
     ClassSpec,
     ClassTooLargeError,
     class_cap,
@@ -321,6 +323,41 @@ class TestDistributions:
                 assert total == ONE
             else:
                 assert total * T == eulerian(n)
+
+
+class TestOracleAtPublishedScale:
+    """The enumeration oracle against a classification of every word, at
+    the n = 8 that ``verify all --n-max 8`` publishes, and the per-cycle
+    tables it reads against each cycle's own word."""
+
+    def test_every_class_of_s8_against_a_word_scan(self):
+        scanned: dict[tuple, int] = {}
+        for word in raw_permutations(range(1, 9)):
+            key = (oracle_cycle_sizes(word), oracle_cval(word), oracle_exc(word))
+            scanned[key] = scanned.get(key, 0) + 1
+        for ct in partitions_of(8):
+            expected = {
+                (cval, exc): count
+                for (parts, cval, exc), count in scanned.items()
+                if parts == ct.parts
+            }
+            spec = ClassSpec.of_cycle_type(ct)
+            assert joint_counts(spec, route="enumerate") == expected, ct
+
+    def test_cycle_tables_against_each_cycles_word(self):
+        # the j-th order of 1..m-1 after the anchor 0 has the relative
+        # order of the j-th order of 2..m after the anchor 1
+        for m in range(1, 10):
+            keep, cvals, excs = _cycle_tables(m)
+            orders = list(raw_permutations(range(2, m + 1)))
+            assert keep == b"\1" * len(orders) and len(cvals) == len(excs) == len(orders)
+            for order, cval, exc in zip(orders, cvals, excs):
+                cycle = (1, *order)
+                word = [0] * m
+                for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                    word[a - 1] = b
+                word = tuple(word)
+                assert (oracle_cval(word), oracle_exc(word)) == (cval, exc), cycle
 
 
 class TestCountSnki:

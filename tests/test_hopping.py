@@ -248,6 +248,23 @@ class TestOrbit:
                 report = orbit(p, collect_members=True)
                 assert set(report.members) == full
 
+    def test_members_are_the_sorted_oracle_images(self):
+        # the members, as built, are the Foata-word images of p over every
+        # subset of its cyclic double ascents and descents, sorted by word
+        for n in range(7):
+            for p in all_perms(n):
+                w = p.word
+                before = {a: i for i, a in enumerate(w, start=1)}
+                toggles = [
+                    x
+                    for x in range(1, n + 1)
+                    if w[x - 1] != x and (before[x] < x) == (x < w[x - 1])
+                ]
+                images = sorted({oracle_psi(w, S) for S in all_subsets(toggles)})
+                members = orbit(p, collect_members=True).members
+                assert [m.word for m in members] == images, p
+                assert all(m == Permutation(m.word) for m in members)
+
     def test_size_law_and_unique_representative(self):
         for n in range(1, 6):
             for p in all_perms(n):

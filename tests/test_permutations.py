@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import math
+import pickle
 import random
 
 import pytest
@@ -55,6 +59,65 @@ class TestConstruction:
     def test_roundtrip_word(self):
         for p in all_perms(5):
             assert from_one_line(p.word) == p
+
+
+class TestValueType:
+    """``Permutation`` is a slotted frozen value; ``_trusted`` makes the
+    same value as the validating constructor, without the check."""
+
+    @staticmethod
+    def both_paths():
+        for n in range(6):
+            for p in all_perms(n):
+                yield p, Permutation._trusted(p.word)
+
+    def test_no_instance_dict(self):
+        for checked, trusted in self.both_paths():
+            assert not hasattr(checked, "__dict__")
+            assert not hasattr(trusted, "__dict__")
+
+    def test_word_cannot_be_assigned(self):
+        for p in (Permutation((2, 3, 1)), Permutation._trusted((2, 3, 1))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                p.word = (1, 2, 3)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                del p.word
+            assert p.word == (2, 3, 1)
+
+    def test_trusted_equals_the_validated_value(self):
+        for checked, trusted in self.both_paths():
+            assert type(trusted) is Permutation
+            assert trusted == checked and not trusted != checked
+            assert hash(trusted) == hash(checked)
+        assert len({p for pair in self.both_paths() for p in pair}) == sum(
+            map(math.factorial, range(6))
+        )
+
+    def test_constructor_stores_a_tuple(self):
+        p = Permutation([3, 1, 2])
+        assert type(p.word) is tuple and p == Permutation._trusted((3, 1, 2))
+
+    CLONES = {
+        **{
+            f"pickle-{protocol}": lambda p, protocol=protocol: pickle.loads(
+                pickle.dumps(p, protocol)
+            )
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        },
+        "copy": copy.copy,
+        "deepcopy": copy.deepcopy,
+    }
+
+    @pytest.mark.parametrize("clone", CLONES.values(), ids=CLONES.keys())
+    def test_copies_round_trip(self, clone):
+        for pair in self.both_paths():
+            for p in pair:
+                other = clone(p)
+                assert type(other) is Permutation
+                assert other == p and hash(other) == hash(p)
+                assert not hasattr(other, "__dict__")
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    other.word = ()
 
 
 class TestCycleForm:
