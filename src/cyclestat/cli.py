@@ -188,7 +188,6 @@ def cmd_table(args) -> int:
         rows = [
             {"n": n, "k": k, "i": i, "count": count}
             for (n, k, i), count in sorted(table.items())
-            if count
         ]
         return _emit_table(rows, ["n", "k", "i", "count"], args.format)
     # gamma: coefficients of dist_exc about (n-k)/2, one row per partition

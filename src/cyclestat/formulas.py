@@ -55,7 +55,8 @@ squaring.
   dist_exc with a reconstruction in one shared check.
 * ``egf_snki``: the table of counts by (length, fixed points, cyclic
   valleys) extracted from an exponential generating function, computed
-  radical-free as a truncated series in x over exact polynomials.
+  radical-free on lists of ints in t: the fixed points split off as
+  e^(ux), so each count is a binomial times a fixed-point-free count.
 
 Claim identifiers (``CLAIMS``: "brenti", "theorem1", "cor3", ...) are the
 stable vocabulary of reports and of the command-line ``verify``
@@ -159,6 +160,17 @@ def _require_integral(p: MultiPoly, context: str) -> MultiPoly:
     return p
 
 
+def _times(a: list[int], b: list[int]) -> list[int]:
+    """The product in ZZ[X] of two polynomials given as lists of int
+    coefficients, lowest degree first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for j, c in enumerate(b):
+        if c:
+            for i, x in enumerate(a):
+                out[i + j] += c * x
+    return out
+
+
 def _eulerian_product(ct: CycleType) -> list[int]:
     """The coefficients, lowest degree first, of Brenti's product as a
     polynomial in X: (n!/z_lambda) * prod over part sizes i of
@@ -172,13 +184,11 @@ def _eulerian_product(ct: CycleType) -> list[int]:
     denominator = 1
     for size, mult in sorted(ct.multiplicities.items()):
         denominator *= factorial(size) ** mult * factorial(mult)
-        row = [(j, c) for (_, j), c in eulerian(size - 1)._terms.items()]
+        row = [0] * size
+        for (_, j), c in eulerian(size - 1)._terms.items():
+            row[j] = c
         for _ in range(mult):
-            acc = [0] * (len(product) + size - 1)
-            for j, c in row:
-                for i, x in enumerate(product):
-                    acc[i + j] += c * x
-            product = acc
+            product = _times(product, row)
     scalar = factorial(ct.n) // denominator
     return [c * scalar for c in product]
 
@@ -521,17 +531,6 @@ def corollary4_check(n: int, k: int, i: int) -> VerificationReport:
     return _reconstruction_check("cor4", spec, theorem2_gamma(spec).by_orbit_scaling)
 
 
-def _egf_denominator_coefficient(j: int) -> MultiPoly:
-    """j! times the coefficient of x^j in the radical-free denominator
-
-    sum_m x^(2m) (1-t)^m / (2m)!  -  sum_m x^(2m+1) (1-t)^m / (2m+1)!,
-
-    that is (1-t)^(j/2) for even j and -(1-t)^((j-1)/2) for odd j.
-    """
-    power = (MultiPoly.one() - MultiPoly.t()) ** (j // 2)
-    return power if j % 2 == 0 else -power
-
-
 def egf_snki(n_max: int) -> dict[tuple[int, int, int], int]:
     """Counts of permutations by (length, fixed points, cyclic valleys),
     extracted from the exponential generating function
@@ -541,11 +540,15 @@ def egf_snki(n_max: int) -> dict[tuple[int, int, int], int]:
               / (sqrt(1-t) cosh(x sqrt(1-t)) - sinh(x sqrt(1-t))).
 
     The sqrt(1-t) factors cancel: dividing the denominator by sqrt(1-t)
-    term by term leaves only integer powers of (1-t), so the whole
-    computation is a truncated series in x whose coefficients are exact
-    polynomials in u and t (u rides in the s-slot of MultiPoly). Each
-    series is kept with its x^j coefficient scaled by j!, so products
-    become binomial convolutions and every polynomial stays integral.
+    term by term leaves only integer powers of (1-t), so j! times its
+    x^j coefficient is D_j = (1-t)^(j/2) for even j and
+    -(1-t)^((j-1)/2) for odd j. The only u is in
+    e^((u-1)x) = e^(ux) e^(-x), so with J = 1/D the count is
+    C(n, k) [t^i] d_(n-k), where d = e^(-x) J lists the fixed-point-free
+    counts. Every series is kept with its x^j coefficient scaled by j!,
+    so products are binomial convolutions and everything is a list of
+    ints in t: J_0 = 1 and J_j = -sum_m C(j, m) D_m J_(j-m), then
+    d_j = sum_m (-1)^(j-m) C(j, m) J_m.
 
     >>> table = egf_snki(3)
     >>> table[(3, 0, 1)], table[(3, 1, 1)], table[(3, 3, 0)]
@@ -553,31 +556,30 @@ def egf_snki(n_max: int) -> dict[tuple[int, int, int], int]:
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    size = n_max + 1
-    u_minus_1 = MultiPoly.s() - MultiPoly.one()
-    numerator = [u_minus_1**j for j in range(size)]
-    denominator = [_egf_denominator_coefficient(j) for j in range(size)]
-
-    # Invert the denominator as a power series in x over the polynomial
-    # ring: D_0 = 1, so j! [x^j] 1/D = -sum_m C(j, m) D_m J_(j-m).
-    inverse = [MultiPoly.one()]
-    for j in range(1, size):
-        acc = MultiPoly.zero()
+    denominator = [
+        [(-1) ** (i + j % 2) * comb(j // 2, i) for i in range(j // 2 + 1)]
+        for j in range(n_max + 1)
+    ]
+    inverse, rows = [[1]], [[1]]
+    for j in range(1, n_max + 1):
+        acc, row = [0] * (j // 2 + 1), [0] * (j // 2 + 1)
         for m in range(1, j + 1):
-            acc = acc + denominator[m] * inverse[j - m] * comb(j, m)
-        inverse.append(-acc)
-
-    table: dict[tuple[int, int, int], int] = {}
-    for n in range(1, size):
-        poly = MultiPoly.zero()
-        for m in range(n + 1):
-            poly = poly + numerator[m] * inverse[n - m] * comb(n, m)
-        _require_integral(poly, f"egf_snki x^{n}")
-        for (k, i), value in poly._terms.items():
-            if value < 0:
-                raise ArithmeticError(f"negative count at n={n}, k={k}, i={i}")
-            table[(n, k, i)] = value
-    return table
+            for i, c in enumerate(_times(denominator[m], inverse[j - m])):
+                acc[i] -= comb(j, m) * c
+        inverse.append(acc)
+        for m in range(j + 1):
+            for i, c in enumerate(inverse[m]):
+                row[i] += (-1) ** (j - m) * comb(j, m) * c
+        if min(row) < 0:
+            raise ArithmeticError(f"negative fixed-point-free count at n={j}: {row}")
+        rows.append(row)
+    return {
+        (n, k, i): comb(n, k) * value
+        for n in range(1, n_max + 1)
+        for k in range(n + 1)
+        for i, value in enumerate(rows[n - k])
+        if value
+    }
 
 
 CLAIMS = (

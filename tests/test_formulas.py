@@ -536,14 +536,30 @@ class TestEgf:
                     )
 
     def test_row_sums(self):
-        table = egf_snki(6)
-        for n in range(1, 7):
+        """Each row sums to n!, its k = 0 column to the subfactorial !n
+        (the derangements, by !n = (n-1)(!(n-1) + !(n-2))), and the
+        identity is the one permutation with n fixed points, to n = 24."""
+        table = egf_snki(24)
+        derangements = [1, 0]
+        for n in range(2, 25):
+            derangements.append((n - 1) * (derangements[-1] + derangements[-2]))
+        for n in range(1, 25):
             total = sum(v for (m, _, _), v in table.items() if m == n)
-            assert total == math.factorial(n)
+            assert total == math.factorial(n), n
+            column = sum(v for (m, k, _), v in table.items() if (m, k) == (n, 0))
+            assert column == derangements[n], n
+            assert table[(n, n, 0)] == 1, n
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             egf_snki(0)
+
+    def test_negative_count_raises(self, monkeypatch):
+        """A sign slip in the denominator inverse gives d_1 = -2."""
+        times = formulas._times
+        monkeypatch.setattr(formulas, "_times", lambda a, b: [-c for c in times(a, b)])
+        with pytest.raises(ArithmeticError, match="negative"):
+            egf_snki(3)
 
 
 class TestVerificationReport:
