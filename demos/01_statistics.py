@@ -5,7 +5,6 @@
 from cyclestat import (
     cycle_type,
     des,
-    foata,
     parse_permutation,
     stat_counts,
     stat_sets,
@@ -30,7 +29,11 @@ for name in ("exc", "cval", "cpk", "cdasc", "cddes", "fix"):
     print(f"  {name:5s} = {sorted(getattr(sets, name + '_set'))}")
 print("counts:", stat_counts(q))
 
-# The canonical cycle word (erase the parentheses) is a bijection; its
-# left-to-right maxima tell you where to cut to get the cycles back.
+# The canonical cycle word (erase the parentheses) is a bijection: each
+# canonical cycle starts with its maximum and the cycles come by
+# increasing maximum, so the word's left-to-right maxima are the cycle
+# leaders and tell you where to cut to get the cycles back.
+cycles = to_cycle_form(q).cycles
 print()
-print("parenthesis-erased word:", foata(q))
+print("parenthesis-erased word:", ",".join(str(a) for cycle in cycles for a in cycle))
+print("cut before its left-to-right maxima:", [cycle[0] for cycle in cycles])

@@ -10,16 +10,14 @@ from cyclestat import (
     psi,
     stat_counts,
     to_cycle_form,
-    x_factorize,
 )
 
-# The word-level action. Around x = 7 the word factors as
-# w1 w2 x w4 w5 with w2, w4 the maximal runs of smaller letters.
-word = (8, 3, 4, 2, 7, 9, 1, 5, 6)
-f = x_factorize(word, 7)
-print("factorization around 7:", f.w1, f.w2, (7,), f.w4, f.w5, "->", f.kind)
-
+# The word-level action. Around x = 7 the word 834279156 factors as
+# w1 w2 x w4 w5 = (8)(342)(7)()(9156), with w2, w4 the maximal runs of
+# smaller letters beside x. 7 has a smaller letter on its left and a
+# larger one on its right, a double ascent, so it hops: w2 and w4 swap.
 p = parse_permutation("834279156")
+print("phi_{7}:", p, "->", phi(p, {7}), "= w1 w4 x w2 w5")
 print("phi_{6,7,8}:", p, "->", phi(p, {6, 7, 8}))
 print("applied twice:", phi(phi(p, {6, 7, 8}), {6, 7, 8}), "(involution)")
 

@@ -3,9 +3,9 @@
 Everything here is exact: a coefficient is stored as an ``int`` where it
 is integral and as a ``fractions.Fraction`` only where a division makes
 one, equality is true equality, and no floating point is ever involved.
-The public accessors (``terms``, ``coefficient``, ``coefficient_sum``,
-``evaluate`` and ``GammaExpansion.gammas``) return ``Fraction`` values
-whatever the storage.
+The public accessors (``terms``, ``coefficient``, ``evaluate`` and
+``GammaExpansion.gammas``) return ``Fraction`` values whatever the
+storage.
 
 ``MultiPoly`` is a sparse polynomial in the two variables s and t, keyed
 by exponent pairs (deg_s, deg_t). Univariate polynomials in t are simply
@@ -194,10 +194,6 @@ class MultiPoly:
     def has_integer_coefficients(self) -> bool:
         return all(c.denominator == 1 for c in self._terms.values())
 
-    def total_degree(self) -> int:
-        """Max of deg_s + deg_t over the support (-1 for the zero polynomial)."""
-        return max((ds + dt for ds, dt in self._terms), default=-1)
-
     def s_degree(self) -> int:
         return max((ds for ds, _ in self._terms), default=-1)
 
@@ -209,9 +205,6 @@ class MultiPoly:
         return MultiPoly(
             {(0, dt): c for (ds, dt), c in self._terms.items() if ds == deg_s}
         )
-
-    def coefficient_sum(self) -> Fraction:
-        return Fraction(sum(self._terms.values()))
 
     # -- ring operations ----------------------------------------------
 
@@ -385,18 +378,11 @@ class GammaExpansion:
 
     ``center_numerator`` is m (the center of symmetry is m/2). The
     expansion exists iff the source polynomial is symmetric about m/2;
-    ``positive`` records whether every gamma_i is nonnegative.
+    its gammas need not be nonnegative.
     """
 
     center_numerator: int
     gammas: tuple[Fraction, ...]
-
-    @property
-    def positive(self) -> bool:
-        return all(g >= 0 for g in self.gammas)
-
-    def is_integral(self) -> bool:
-        return all(g.denominator == 1 for g in self.gammas)
 
     def reconstruct(self) -> MultiPoly:
         total = MultiPoly.zero()
@@ -412,7 +398,8 @@ def gamma_expand(f: MultiPoly, center_numerator: int) -> GammaExpansion:
     Peels coefficients from the low-degree end; the expansion is unique
     when it exists. Raises :class:`GammaExpansionError` when f is not
     symmetric about m/2 (negative gamma values are *not* an error -- they
-    come back as a successful expansion with ``positive == False``).
+    come back as a successful expansion, whose gammas are then not all
+    nonnegative).
 
     >>> f = MultiPoly({(0, 0): 1, (0, 1): 11, (0, 2): 11, (0, 3): 1})
     >>> gamma_expand(f, 3).gammas
@@ -469,9 +456,6 @@ class TruncSeries(MultiPoly):
     @classmethod
     def from_poly(cls, p: MultiPoly, order: int) -> "TruncSeries":
         return cls(p._terms, order)
-
-    def constant_term(self) -> Fraction:
-        return self.coefficient(0, 0)
 
     # -- how orders combine --------------------------------------------
 

@@ -24,18 +24,18 @@ indexed by letters x in [n]:
   ascents and cyclic double descents while preserving cyclic valleys,
   cyclic peaks, fixed points, and the cycle type.
 
-This is Sun and Wang's hop in the word that erases the parentheses of
-the canonical cycle form (``foata``), judged with a low boundary on the
-left and a high one on the right and cut back into cycles at its
-left-to-right maxima (``foata_inverse``). Each canonical cycle starts
-with its maximum, so a non-fixed letter never hops out of its cycle, and
-in that word x's neighbours compare with x exactly as p^-1(x) and p(x)
-do; ``psi`` never builds the word. The word action is the one-cycle
-case: the word w1 ... wn is the cycle (n+1, w1, ..., wn), in which n + 1
-is the larger letter beyond both ends of the word, so ``phi`` relinks
-that cycle and reads the word back after n + 1. The Foata-word
-definition of ``psi`` and the splicing definition of ``phi`` are kept as
-the test oracles.
+This is Sun and Wang's hop in the Foata word, the canonical cycle form
+with its parentheses erased, judged with a low boundary on the left and
+a high one on the right and cut back into cycles before each
+left-to-right maximum. Each canonical cycle starts with its maximum, so
+a non-fixed letter never hops out of its cycle, and in that word x's
+neighbours compare with x exactly as p^-1(x) and p(x) do; ``psi`` never
+builds the word. The word action is the one-cycle case: the word
+w1 ... wn is the cycle (n+1, w1, ..., wn), in which n + 1 is the larger
+letter beyond both ends of the word, so ``phi`` relinks that cycle and
+reads the word back after n + 1. Both definitions live only in the
+tests, as the ``oracle_*`` functions of ``tests/conftest.py`` that the
+relink kernel is checked against.
 
 The orbit of a permutation under ``psi`` has size 2^(n - fix - 2*cval)
 and contains exactly one member without cyclic double ascents; ``orbit``
@@ -57,7 +57,6 @@ from .algebra import MultiPoly
 from .enumeration import ClassTooLargeError
 from .permutations import (
     Permutation,
-    left_to_right_maxima,
     _cycles_of_word,
     _link_classes,
     _links,
@@ -65,10 +64,6 @@ from .permutations import (
 )
 
 __all__ = [
-    "XFactorization",
-    "x_factorize",
-    "foata",
-    "foata_inverse",
     "phi",
     "psi",
     "OrbitReport",
@@ -76,91 +71,6 @@ __all__ = [
     "orbit_counts",
     "orbit_exc_polynomial",
 ]
-
-
-@dataclass(frozen=True)
-class XFactorization:
-    """The factorization w1 w2 x w4 w5 of a word around the letter x.
-
-    w2 and w4 are the maximal runs of letters smaller than x immediately
-    adjacent to x. Past each end of the word stands a virtual letter
-    larger than every letter, so x at an end has a larger neighbour there.
-    """
-
-    w1: tuple[int, ...]
-    w2: tuple[int, ...]
-    x: int
-    w4: tuple[int, ...]
-    w5: tuple[int, ...]
-
-    @property
-    def left_is_smaller(self) -> bool:
-        """Is the letter immediately left of x below x?"""
-        return bool(self.w2)
-
-    @property
-    def right_is_smaller(self) -> bool:
-        return bool(self.w4)
-
-    @property
-    def kind(self) -> str:
-        """One of "double_ascent", "double_descent", "peak", "valley"."""
-        left, right = self.left_is_smaller, self.right_is_smaller
-        if left and right:
-            return "peak"
-        if left:
-            return "double_ascent"
-        if right:
-            return "double_descent"
-        return "valley"
-
-
-def x_factorize(word: tuple[int, ...] | list[int], x: int) -> XFactorization:
-    """Factor ``word`` as w1 w2 x w4 w5 around the letter x; past either
-    end of the word, x counts as having a larger neighbour.
-
-    >>> f = x_factorize((8, 3, 4, 2, 7, 9, 1, 5, 6), 7)
-    >>> f.w1, f.w2, f.w4, f.w5
-    ((8,), (3, 4, 2), (), (9, 1, 5, 6))
-    """
-    word = tuple(word)
-    try:
-        pos = word.index(x)
-    except ValueError:
-        raise ValueError(f"letter {x} does not occur in the word") from None
-    lo = pos
-    while lo > 0 and word[lo - 1] < x:
-        lo -= 1
-    hi = pos + 1
-    while hi < len(word) and word[hi] < x:
-        hi += 1
-    return XFactorization(
-        w1=word[:lo],
-        w2=word[lo:pos],
-        x=x,
-        w4=word[pos + 1 : hi],
-        w5=word[hi:],
-    )
-
-
-def foata(p: Permutation) -> Permutation:
-    """Erase the parentheses of the canonical cycle form.
-
-    >>> str(foata(Permutation((6, 4, 9, 2, 3, 7, 1, 8, 5))))
-    '427168953'
-    """
-    return Permutation(tuple(a for cycle in _cycles_of_word(p.word) for a in cycle))
-
-
-def foata_inverse(p: Permutation) -> Permutation:
-    """Recover the cycles by cutting the word before each left-to-right maximum.
-
-    Inverse of :func:`foata`: ``foata_inverse(foata(p)) == p``.
-    """
-    word = p.word
-    cuts = sorted(left_to_right_maxima(word)) + [len(word) + 1]
-    cycles = [word[start - 1 : end - 1] for start, end in zip(cuts, cuts[1:])]
-    return Permutation(_word_from_cycles(cycles, len(word)))
 
 
 def _check_letters(letters, n: int) -> list[int]:

@@ -43,7 +43,6 @@ __all__ = [
     "des",
     "stat_sets",
     "stat_counts",
-    "left_to_right_maxima",
     "parse_permutation",
 ]
 
@@ -391,21 +390,6 @@ def stat_counts(p: Permutation) -> StatCounts:
     StatCounts(exc=2, cval=1, cpk=1, cdasc=1, cddes=0, fix=0)
     """
     return StatCounts(*map(len, _letter_classes(p)))
-
-
-def left_to_right_maxima(word: Sequence[int]) -> frozenset[int]:
-    """Positions i (1-indexed) with word[j] < word[i] for all j < i.
-
-    >>> sorted(left_to_right_maxima([4, 2, 7, 1, 6, 8, 9, 5, 3]))
-    [1, 3, 6, 7]
-    """
-    best = 0
-    positions = []
-    for pos, letter in enumerate(word, start=1):
-        if letter > best:
-            positions.append(pos)
-            best = letter
-    return frozenset(positions)
 
 
 _CYCLE_TOKEN = re.compile(r"\(([^()]*)\)")

@@ -57,7 +57,7 @@ class TestMultiPoly:
         assert p.coefficient(0, 1) == Fraction(1, 2)
         assert p.coefficient(5, 5) == 0
         assert p.coefficient_of_s(2) == 3 * T
-        assert p.s_degree() == 2 and p.t_degree() == 1 and p.total_degree() == 3
+        assert p.s_degree() == 2 and p.t_degree() == 1
 
     def test_pow_errors(self):
         with pytest.raises(ValueError):
@@ -106,13 +106,13 @@ class TestEulerian:
         import math
 
         for n in range(0, 9):
-            assert eulerian(n).coefficient_sum() == math.factorial(n)
+            assert eulerian(n).evaluate(1, 1) == math.factorial(n)
 
     def test_gamma_positive_after_shift(self):
         for n in range(1, 9):
             shifted = eulerian(n).extract_t_factor()
             expansion = gamma_expand(shifted, n - 1)
-            assert expansion.positive and expansion.is_integral()
+            assert all(g >= 0 and g.denominator == 1 for g in expansion.gammas)
             assert expansion.reconstruct() == shifted
 
     def test_negative_n(self):
@@ -125,7 +125,7 @@ class TestGammaExpansion:
         f = ONE + 11 * T + 11 * T**2 + T**3
         expansion = gamma_expand(f, 3)
         assert expansion.gammas == (Fraction(1), Fraction(8))
-        assert expansion.positive
+        assert all(g >= 0 for g in expansion.gammas)
         assert expansion.reconstruct() == f
 
     def test_power_of_one_plus_t(self):
@@ -146,7 +146,7 @@ class TestGammaExpansion:
     def test_negative_gamma_is_success(self):
         expansion = gamma_expand(ONE + T + T**2, 2)
         assert expansion.gammas == (Fraction(1), Fraction(-1))
-        assert not expansion.positive
+        assert not all(g >= 0 for g in expansion.gammas)
         assert expansion.reconstruct() == ONE + T + T**2
 
     def test_degree_above_center(self):
@@ -330,11 +330,9 @@ class TestSeriesKernels:
         assert all(type(c) is Fraction for c in p.terms.values())
         assert type(p.coefficient(0, 1)) is Fraction
         assert type(p.coefficient(4, 4)) is Fraction
-        assert type(p.coefficient_sum()) is Fraction
         assert type(p.evaluate(1, 2)) is Fraction
         series = TruncSeries.from_poly(p, 4)
         assert all(type(c) is Fraction for c in series.terms.values())
-        assert type(series.constant_term()) is Fraction
         gammas = gamma_expand(ONE + 11 * T + 11 * T**2 + T**3, 3).gammas
         assert gammas == (1, 8) and all(type(g) is Fraction for g in gammas)
 
@@ -416,7 +414,7 @@ class TestSeriesPower:
         for _ in range(6):
             order = rng.randrange(8)
             a = TruncSeries(random_terms(rng, order), order)
-            a = a - a.constant_term() + c
+            a = a - a.coefficient(0, 0) + c
             expected = TruncSeries.from_poly(ONE, order)
             for k in range(21):
                 power = a**k

@@ -171,7 +171,7 @@ class TestIterClass:
         with pytest.raises(ClassTooLargeError):
             dist_exc(spec, route="enumerate")
         # the factorized route visits no members, so the cap does not apply
-        assert dist_exc(spec).coefficient_sum() == 798336
+        assert dist_exc(spec).evaluate(1, 1) == 798336
 
     def test_guardrail_reads_the_environment(self, monkeypatch):
         spec = ClassSpec.parse("1,2,2")  # 15 members

@@ -92,7 +92,7 @@ class TestBrenti:
     def test_coefficient_sum_is_class_size(self):
         for text in ["1,5,5", "2,2", "1,2,2,4", "3,4"]:
             ct = CycleType.from_text(text)
-            assert brenti(ct).coefficient_sum() == class_size(ct)
+            assert brenti(ct).evaluate(1, 1) == class_size(ct)
 
     def test_matches_enumeration_small(self):
         for n in range(0, 7):
@@ -139,7 +139,7 @@ class TestTheorem1:
         )
         assert poly.coefficient(3, 5) == 133056
         assert poly.coefficient(4, 4) == 88704
-        assert poly.coefficient_sum() == 798336
+        assert poly.evaluate(1, 1) == 798336
 
 
 class TestTheorem6:
@@ -458,7 +458,7 @@ class TestCorollaries:
         assert nonzero[2][2] == 1386
         assert nonzero[3][3] == 22176
         assert nonzero[4][4] == 88704
-        assert all(e.positive for e in expansions)
+        assert all(g >= 0 for e in expansions for g in e.gammas)
         assert corollary2_check(ct).passed
 
     def test_cor2_small(self):

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import combinations
 
@@ -10,14 +11,11 @@ from cyclestat import hopping
 from cyclestat.algebra import MultiPoly
 from cyclestat.enumeration import ClassTooLargeError
 from cyclestat.hopping import (
-    foata,
-    foata_inverse,
     orbit,
     orbit_counts,
     orbit_exc_polynomial,
     phi,
     psi,
-    x_factorize,
 )
 from cyclestat.permutations import (
     Permutation,
@@ -35,6 +33,8 @@ from conftest import (
     oracle_cval,
     oracle_exc,
     oracle_fix,
+    oracle_foata_word,
+    oracle_hop,
     oracle_phi,
     oracle_psi,
 )
@@ -47,57 +47,61 @@ def all_subsets(letters):
 
 
 class TestXFactorization:
+    """Around x the word factors as w1 w2 x w4 w5, with w2 and w4 the
+    maximal runs of smaller letters beside x; ``phi`` swaps w2 and w4
+    when x is a double ascent or descent, judged with a larger letter
+    past each end of the word, and leaves peaks and valleys alone."""
+
     def test_displayed_example(self):
-        f = x_factorize((8, 3, 4, 2, 7, 9, 1, 5, 6), 7)
-        assert (f.w1, f.w2, f.w4, f.w5) == ((8,), (3, 4, 2), (), (9, 1, 5, 6))
-        assert f.kind == "double_ascent"
+        # 834279156 = 8 342 7 () 9156 around 7, a double ascent
+        p = parse_permutation("834279156")
+        assert str(phi(p, {7})) == "873429156"
+        assert phi(p, {7}).word == oracle_phi(p.word, {7})
 
     def test_max_letter_at_end(self):
         # all smaller letters pile into w2; against a high right boundary
-        # the letter is a double ascent and would hop over all of them
-        n = 5
-        f = x_factorize(tuple(range(1, n + 1)), n)
-        assert f.w2 == (1, 2, 3, 4) and f.w4 == () and f.w1 == ()
-        assert f.kind == "double_ascent"
-        assert phi(identity(n), {n}).word == (5, 1, 2, 3, 4)
+        # the letter is a double ascent and hops over all of them
+        assert phi(identity(5), {5}).word == (5, 1, 2, 3, 4)
 
     def test_single_letter_word(self):
-        f = x_factorize((1,), 1)
-        assert f.w1 == f.w2 == f.w4 == f.w5 == ()
-        assert f.kind == "valley"  # high boundaries on both sides
+        assert phi(identity(1), {1}) == identity(1)  # a valley
 
     def test_low_left_boundary_changes_kind(self):
-        # the boundaries are fixed high: past either end of the word x has
-        # a larger neighbour, so at an end it is never a peak
-        f = x_factorize((2, 1), 2)
-        assert not f.left_is_smaller and f.right_is_smaller
-        assert f.kind == "double_descent"
-        assert x_factorize((1, 2), 2).kind == "double_ascent"
+        # with high boundaries, x at an end of the word is never a peak
+        assert phi(Permutation((2, 1)), {2}).word == (1, 2)  # double descent
+        assert phi(Permutation((1, 2)), {2}).word == (2, 1)  # double ascent
+        # with the low left boundary of the cycle-level hop, 2 in the
+        # word 21 is a peak and stays put
+        assert oracle_hop([2, 1], 2, low_left=True) == [2, 1]
+        assert psi(Permutation((2, 1)), {2}) == Permutation((2, 1))
 
     def test_peak(self):
-        f = x_factorize((1, 3, 2), 3)
-        assert f.w2 == (1,) and f.w4 == (2,)
-        assert f.kind == "peak"
+        p = Permutation((1, 3, 2))
+        assert phi(p, {3}) == p
 
     def test_missing_letter(self):
-        with pytest.raises(ValueError, match="does not occur"):
-            x_factorize((1, 2, 3), 7)
+        for letters in ({7}, {0}):
+            with pytest.raises(ValueError, match="not contained"):
+                phi(identity(3), letters)
 
     def test_concatenation_invariant(self):
+        # the hop rearranges only the block w2 x w4; w1 and w5 stay put
         rng = random.Random(7)
         for _ in range(100):
             n = rng.randrange(1, 10)
             word = list(range(1, n + 1))
             rng.shuffle(word)
             x = rng.randrange(1, n + 1)
-            f = x_factorize(tuple(word), x)
-            assert f.w1 + f.w2 + (f.x,) + f.w4 + f.w5 == tuple(word)
-            assert all(a < x for a in f.w2) and all(a < x for a in f.w4)
-            # maximality of the two runs
-            if f.w1:
-                assert f.w1[-1] > x
-            if f.w5:
-                assert f.w5[0] > x
+            hopped = phi(Permutation(tuple(word)), {x}).word
+            assert hopped == tuple(oracle_hop(word, x, low_left=False))
+            lo = hi = word.index(x)
+            while lo > 0 and word[lo - 1] < x:
+                lo -= 1
+            while hi + 1 < n and word[hi + 1] < x:
+                hi += 1
+            assert hopped[:lo] == tuple(word[:lo])
+            assert hopped[hi + 1 :] == tuple(word[hi + 1 :])
+            assert sorted(hopped[lo : hi + 1]) == sorted(word[lo : hi + 1])
 
 
 class TestPhi:
@@ -125,30 +129,39 @@ class TestPhi:
 
 
 class TestFoata:
+    """The Foata word of the test oracles: the canonical cycle form with
+    its parentheses erased, cut back into cycles before each
+    left-to-right maximum. Every ``oracle_psi`` check rests on it."""
+
     def test_erase_parentheses(self):
         p = parse_permutation("(4,2)(7,1,6)(8)(9,5,3)")
-        assert str(foata(p)) == "427168953"
+        assert oracle_foata_word(p.word) == [4, 2, 7, 1, 6, 8, 9, 5, 3]
 
     def test_identity(self):
-        assert foata(identity(3)) == identity(3)
+        assert oracle_foata_word(identity(3).word) == [1, 2, 3]
 
     def test_figure_word(self):
         p = parse_permutation("(5,2,3)(8)(9,7,6,4,1)")
-        assert str(foata(p)) == "523897641"
+        assert oracle_foata_word(p.word) == [5, 2, 3, 8, 9, 7, 6, 4, 1]
 
     def test_inverse_of_displayed(self):
-        p = parse_permutation("427168953")
-        assert str(to_cycle_form(foata_inverse(p))) == "(4,2)(7,1,6)(8)(9,5,3)"
+        p = parse_permutation("(4,2)(7,1,6)(8)(9,5,3)")
+        assert oracle_psi(p.word, ()) == p.word
 
     def test_inverse_cuts_at_maxima(self):
-        p = parse_permutation("523897641")
-        assert str(to_cycle_form(foata_inverse(p))) == "(5,2,3)(8)(9,7,6,4,1)"
+        # the hopped word 532896417 is cut before 5, 8 and 9
+        p = parse_permutation("(5,2,3)(8)(9,7,6,4,1)")
+        image = oracle_psi(p.word, {3, 7})
+        assert image == parse_permutation("(5,3,2)(8)(9,6,4,1,7)").word
+        assert oracle_foata_word(image) == [5, 3, 2, 8, 9, 6, 4, 1, 7]
 
     def test_roundtrip_exhaustive(self):
         for n in range(0, 8):
+            words = set()
             for p in all_perms(n):
-                assert foata_inverse(foata(p)) == p
-                assert foata(foata_inverse(p)) == p
+                assert oracle_psi(p.word, ()) == p.word
+                words.add(tuple(oracle_foata_word(p.word)))
+            assert len(words) == math.factorial(n)
 
 
 class TestPsi:

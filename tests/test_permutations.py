@@ -18,7 +18,6 @@ from cyclestat.permutations import (
     from_cycle_form,
     from_one_line,
     identity,
-    left_to_right_maxima,
     parse_cycle_text,
     parse_permutation,
     stat_counts,
@@ -26,7 +25,14 @@ from cyclestat.permutations import (
     to_cycle_form,
 )
 
-from conftest import all_perms, oracle_cval, oracle_des, oracle_exc, oracle_fix
+from conftest import (
+    all_perms,
+    oracle_cval,
+    oracle_des,
+    oracle_exc,
+    oracle_fix,
+    oracle_foata_word,
+)
 
 RUNNING_EXAMPLE = "(5,2,1)(6)(8)(11,9,10,4,3,7)"
 
@@ -296,14 +302,25 @@ class TestStatSets:
 
 
 class TestLeftToRightMaxima:
+    """The canonical cycles start with their maxima, in increasing order,
+    so their first letters are the left-to-right maxima of the Foata
+    word: the cut that turns that word back into cycles."""
+
+    @staticmethod
+    def check(text, leaders):
+        p = parse_permutation(text)
+        word = oracle_foata_word(p.word)
+        maxima = [a for i, a in enumerate(word) if a == max(word[: i + 1])]
+        assert [cycle[0] for cycle in to_cycle_form(p).cycles] == maxima == leaders
+
     def test_scan_example(self):
-        assert left_to_right_maxima((4, 2, 7, 1, 6, 8, 9, 5, 3)) == {1, 3, 6, 7}
+        self.check("(4,2)(7,1,6)(8)(9,5,3)", [4, 7, 8, 9])
 
     def test_increasing(self):
-        assert left_to_right_maxima(tuple(range(1, 7))) == {1, 2, 3, 4, 5, 6}
+        self.check("123456", [1, 2, 3, 4, 5, 6])
 
     def test_decreasing(self):
-        assert left_to_right_maxima((6, 5, 4, 3, 2, 1)) == {1}
+        self.check("(6,5,4,3,2,1)", [6])
 
 
 class TestParsing:
