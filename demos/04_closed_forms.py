@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 # The same polynomials along a second, independent route: products of
-# Eulerian polynomials with algebraic substitutions, evaluated in exact
-# truncated power series (the square roots never reach the final answer).
+# Eulerian polynomials with algebraic substitutions. The library sums
+# the substituted products in integers through the Catalan series, so
+# no square root is evaluated; the exact series below show one radical.
 
 from cyclestat import (
     ClassSpec,

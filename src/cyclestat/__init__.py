@@ -5,8 +5,9 @@ valleys on the symmetric group: statistics and canonical cycle forms,
 the valley-hopping group actions and their orbits, exact distribution
 polynomials over conjugacy classes (by a product over cycles, or by
 brute-force enumeration), and closed-form counterparts
-(Eulerian-polynomial products and radical substitutions evaluated as
-truncated power series) verified against the enumeration.
+(Eulerian-polynomial products, with the radical substitutions read
+through the Catalan series as one integer sum per class) verified
+against the enumeration.
 
 All arithmetic is exact (arbitrary-precision rationals); there is no
 floating point anywhere.

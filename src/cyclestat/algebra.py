@@ -25,10 +25,11 @@ Miller's for the exponent p/q (k/1, -1/1 and 1/2), solved one total
 degree at a time on the same packed keys; every division in it is
 exact and gives an int whenever its quotient is integral, so an
 integral radicand whose root is integral never builds a ``Fraction``.
-It exists to evaluate substitution formulas whose closed forms contain
-radicals; whenever the represented function is actually a polynomial,
-``to_poly`` recovers it and loudly rejects leftover high-order terms
-(the sign of a too-small truncation order).
+It evaluates substitution formulas whose closed forms contain radicals,
+such as the paper's Theorems 1 and 6 as the tests build them; whenever
+the represented function is actually a polynomial, ``to_poly`` recovers
+it and loudly rejects leftover high-order terms (the sign of a
+too-small truncation order).
 
 ``eulerian(n)`` is the classic descent-counting polynomial, normalized so
 that the lowest term is t^1 for n >= 1 (and 1 for n = 0); it is computed

@@ -17,9 +17,7 @@ The routes implemented:
   product of Eulerian polynomials scaled by the class size.
 * ``theorem1_joint``: the joint (cval, exc) distribution over a
   conjugacy class, obtained from the same product by substituting two
-  algebraic functions u(s,t), v(s,t) that involve sqrt((1+t)^2 - 4st);
-  everything is evaluated in exact truncated power series and converted
-  back to a polynomial with a loud residue check.
+  algebraic functions u(s,t), v(s,t) that involve sqrt((1+t)^2 - 4st).
 * ``theorem6_cval``: the cyclic-valley distribution, via the analogous
   univariate substitution w(t) built from sqrt(1-t).
 
@@ -30,17 +28,17 @@ differ only in the pair (core, x): (1, t) for ``brenti``,
 Substitution is a ring homomorphism, so the Eulerian part is P(x) for
 one polynomial P(X) in ZZ[X] of degree at most n: each class multiplies
 its Eulerian polynomials as plain lists of ints, with the scalar folded
-in, and ``brenti`` reads P at X = t with no further product. For
-Theorems 1 and 6 each pair (core, x) depends only on the truncation
-order, not on the class, so it is built once per order, with one table
-of the powers x^J shared by every class. A class then costs one linear
-combination sum_J P_J x^J of those powers, one power of the core and
-one series product. The core is cut to the order P(x) leaves before it
-is raised to its power: P(x) has no term below a degree V read off its
-terms, so the terms of the power above N - V would land above the
-product's order N. The core has a nonzero constant term, so that power
-is one pass of ``TruncSeries``'s power recurrence rather than repeated
-squaring.
+in, and ``brenti`` reads P at X = t with no further product. The
+radicals of Theorems 1 and 6 are never evaluated. Both pairs are
+rational in the Catalan series C(z) = 1 + z C(z)^2: with
+z = st/(1+t)^2, v = C(z) - 1 and (1+u)/(1+uv) = (1+t)/C(z), and at
+t = 4z, w = C(z) - 1 and 1 + sqrt(1-t) = 2/C(z). So with K = n - m_1
+both products are read off the same integers Q_a, the coefficients of
+C^(-K) P(C - 1), and Lagrange inversion gives each coefficient of a
+power of C as one binomial: a class costs one integer sum per Q_a.
+Every Q_a above K/2 must vanish; a nonzero one raises
+``TruncationResidueError``, a loud check against a fault in the
+product.
 * ``lemma1_check`` / ``theorem4_check`` / ``theorem5_check``: identities
   relating the excedance distribution to the joint (or cval)
   distribution over any hop-invariant family, verified in cleared
@@ -73,7 +71,7 @@ from .algebra import (
     GammaExpansion,
     GammaExpansionError,
     MultiPoly,
-    TruncSeries,
+    TruncationResidueError,
     eulerian,
     gamma_expand,
 )
@@ -193,29 +191,6 @@ def _eulerian_product(ct: CycleType) -> list[int]:
     return [c * scalar for c in product]
 
 
-def _brenti_product(ct: CycleType, core: TruncSeries, power) -> TruncSeries:
-    """Brenti's product with core and x substituted:
-    core^(n - m_1) * P(x), where P is :func:`_eulerian_product` and
-    power(J) is x^J from the shared table of :func:`_eulerian_at`.
-
-    P(x) = sum_J P_J x^J is one linear combination of cached powers,
-    because substitution is a ring homomorphism: no A_d(x) is built or
-    raised, and the scalar is already in P. When P(x), of order N, has
-    lowest total degree V, the core is cut to order N - V before it is
-    raised to its power: a term of core^k above N - V meets only terms
-    of P(x) of degree >= V, so it lands above N. P(x) times that power,
-    read as a polynomial, keeps P(x)'s order N."""
-    terms: dict = {}
-    for j, c in enumerate(_eulerian_product(ct)):
-        if c:
-            for key, value in power(j)._terms.items():
-                terms[key] = terms.get(key, 0) + c * value
-    part = power(0)._new(terms)
-    k = ct.n - ct.fixed_point_count
-    cut = TruncSeries.from_poly(core, part.order - min(map(sum, part._terms)))
-    return part * MultiPoly((cut**k)._terms)
-
-
 def brenti(ct: CycleType) -> MultiPoly:
     """Excedance distribution over the class of cycle type lambda:
     (n!/z_lambda) * prod over part sizes i of [A_(i-1)(t)/(i-1)!]^(m_i),
@@ -228,96 +203,89 @@ def brenti(ct: CycleType) -> MultiPoly:
     return _require_integral(product, "brenti")
 
 
-def _eulerian_at(x: TruncSeries):
-    """J -> x^J, from one table of powers [1, x, x^2, ...] that grows as
-    higher J are asked for, so every power of x is multiplied out once
-    for all classes at x's order. Once a power is zero every higher one
-    is too, so the table stops growing there and answers that zero."""
-    powers = [x._new({(0, 0): 1})]
-
-    def power(j: int) -> TruncSeries:
-        while len(powers) <= j and powers[-1]._terms:
-            powers.append(powers[-1] * x)
-        return powers[min(j, len(powers) - 1)]
-
-    return power
-
-
 @lru_cache(maxsize=None)
-def _theorem1_series(order: int):
-    """Theorem 1's pair ((1+u)/(1+uv), J -> v^J) at one truncation
-    order; it depends on no class, so each order builds it once per
-    process. The series u(s,t), v(s,t) have radicand (1+t)^2 - 4st:
-
-    u = (1 + t^2 - 2st - (1-t) R) / (2 (1-s) t),
-    v = ((1+t)^2 - 2st - (1+t) R) / (2 s t),      R = sqrt((1+t)^2 - 4st).
-
-    Both numerators are divisible by the monomials below them, so the
-    quotients are honest power series; dividing by t (and s) reduces the
-    carried truncation order, which is why :func:`theorem1_joint` asks
-    for a little headroom.
-    """
-    s = MultiPoly.s()
-    t = MultiPoly.t()
-    one = MultiPoly.one()
-
-    radicand = TruncSeries.from_poly((one + t) ** 2 - 4 * s * t, order)
-    root = radicand.sqrt()
-
-    u_num = (one + t * t - 2 * s * t) - (one - t) * root
-    u = u_num.extract_t_factor() / 2 / (one - s)
-
-    v_num = ((one + t) ** 2 - 2 * s * t) - (one + t) * root
-    v = v_num.extract_s_factor().extract_t_factor() / 2
-    return (1 + u) / (1 + u * v), _eulerian_at(v)
+def _catalan_power(m: int, r: int) -> int:
+    """[z^m] C(z)^r for any integer r, where C = 1 + z C^2 is the Catalan
+    series: 1 for m = 0, else (r/m) binom(2m + r - 1, m - 1) by Lagrange
+    inversion. An upper index N < 0 reads binom(N, k) as
+    (-1)^k binom(k - N - 1, k); for 0 <= N < k it is 0, which makes the
+    coefficient 0 on the band 1 - 2m <= r <= -m - 1. The division by m is
+    exact, and an inexact one raises. A class of n letters reads only
+    m <= n + 2 and |r| <= n, so each pair is computed once per process."""
+    if m == 0:
+        return 1
+    top, k = 2 * m + r - 1, m - 1
+    binomial = comb(top, k) if top >= 0 else (-1) ** k * comb(k - top - 1, k)
+    value, rest = divmod(r * binomial, m)
+    if rest:
+        raise ArithmeticError(f"[z^{m}] C^{r}: {r}*{binomial} is not divisible by {m}")
+    return value
 
 
-@lru_cache(maxsize=None)
-def _theorem6_series(order: int):
-    """Theorem 6's pair (1 + sqrt(1-4x), J -> w^J) at t = 4x, built
-    once per truncation order, as :func:`_theorem1_series`."""
-    root = TruncSeries.from_poly(MultiPoly.one() - 4 * MultiPoly.t(), order).sqrt()
-    w = (1 - root).extract_t_factor() / 2 - 1
-    return 1 + root, _eulerian_at(w)
+def _lagrange_sum(ct: CycleType) -> tuple[int, list[int]]:
+    """(K, [Q_0, ..., Q_(K//2)]) with K = n - m_1, where
+    Q_a = sum_(J <= a) P_J c(a - J, 2J - K), P is :func:`_eulerian_product`
+    and c is :func:`_catalan_power`: the coefficients of
+    C(z)^(-K) P(C(z) - 1) = sum_a Q_a z^a, the Brenti product of Theorems
+    1 and 6 with the radicals written through the Catalan series C.
+
+    That series is a polynomial of degree at most K/2, because the joint
+    distribution has at most K/2 cyclic valleys. Q_a is computed for
+    a <= deg P + 2, and a nonzero Q_a above K/2 raises
+    ``TruncationResidueError``: the sign of a fault in the product or in
+    the coefficients."""
+    p = _eulerian_product(ct)
+    k = ct.n - ct.fixed_point_count
+    q = [
+        sum(c * _catalan_power(a - j, 2 * j - k) for j, c in enumerate(p[: a + 1]) if c)
+        for a in range(len(p) + 2)
+    ]
+    for a in range(k // 2 + 1, len(q)):
+        if q[a]:
+            raise TruncationResidueError(
+                f"nonzero coefficient {q[a]} of z^{a} above degree {k // 2} "
+                f"for the class {ct}: not a polynomial of the asserted degree"
+            )
+    return k, q[: k // 2 + 1]
 
 
 def theorem1_joint(ct: CycleType) -> MultiPoly:
     """Joint (cval, exc) distribution over a conjugacy class, closed form.
 
-    (n!/z_lambda) * ((1+u)/(1+uv))^(n - m_1) * prod [A_(i-1)(v)/(i-1)!]^(m_i)
-    evaluated in series truncated at total degree n + 4 and converted back
-    to an exact polynomial. Dividing out s and t inside v leaves order
-    n + 2, so the conversion's residue check still sees the degrees above
-    n. The substituted series depend only on the order, so they are
-    built once per order and process; a class costs only its own
-    product. Must equal ``dist_joint`` of the same class.
+    (n!/z_lambda) * ((1+u)/(1+uv))^(n - m_1) * prod [A_(i-1)(v)/(i-1)!]^(m_i),
+    where u(s,t), v(s,t) involve R = sqrt((1+t)^2 - 4st). With
+    z = st/(1+t)^2 and C the Catalan series, R = (1+t)(1 - 2zC(z)), so
+    v = C(z) - 1 and (1+u)/(1+uv) = (1+t)/C(z), and the product is
+    sum_a Q_a s^a t^a (1+t)^(K - 2a) with the integers Q_a of
+    :func:`_lagrange_sum`. Must equal ``dist_joint`` of the same class.
 
     >>> str(theorem1_joint(CycleType((3,))))
     's*t + s*t^2'
     """
-    result = _brenti_product(ct, *_theorem1_series(ct.n + 4))
-    return _require_integral(result.to_poly(ct.n), "theorem1_joint")
+    k, q = _lagrange_sum(ct)
+    return MultiPoly(
+        {
+            (a, a + i): c * comb(k - 2 * a, i)
+            for a, c in enumerate(q)
+            for i in range(k - 2 * a + 1)
+        }
+    )
 
 
 def theorem6_cval(ct: CycleType) -> MultiPoly:
     """Cyclic-valley distribution over a conjugacy class, closed form.
 
     (n!/z_lambda) * (1 + sqrt(1-t))^(n - m_1) * prod [A_(i-1)(w)/(i-1)!]^(m_i)
-    with w = 2 t^-1 (1 - sqrt(1-t)) - 1, evaluated in series truncated at
-    degree n + 4, as in :func:`theorem1_joint`; the substituted series
-    are likewise built once per order and process. Must equal
-    ``dist_cval`` of the same class.
+    with w = 2 t^-1 (1 - sqrt(1-t)) - 1. At t = 4x, w = C(x) - 1 and
+    1 + sqrt(1-4x) = 2/C(x) for the Catalan series C, so the product is
+    sum_a Q_a 2^(K - 2a) t^a with the same integers Q_a as
+    :func:`theorem1_joint`. Must equal ``dist_cval`` of the same class.
 
     >>> str(theorem6_cval(CycleType((3,))))
     '2*t'
     """
-    # Evaluated at t = 4x, where sqrt(1 - 4x) and w are integral series
-    # in x; the coefficient of x^k is then 4^k times that of t^k.
-    at_4x = _brenti_product(ct, *_theorem6_series(ct.n + 4))
-    result = TruncSeries(
-        {(0, k): Fraction(c, 4**k) for (_, k), c in at_4x._terms.items()}, at_4x.order
-    )
-    return _require_integral(result.to_poly(ct.n), "theorem6_cval")
+    k, q = _lagrange_sum(ct)
+    return MultiPoly({(0, a): c * 2 ** (k - 2 * a) for a, c in enumerate(q)})
 
 
 @lru_cache(maxsize=None)

@@ -3,12 +3,16 @@
 Everything here walks ``itertools.permutations`` directly and recomputes
 statistics straight from the definitions, so the tests compare the
 library's streaming enumeration and closed forms against a second,
-structurally different computation.
+structurally different computation. The radical oracles at the end
+build the substitution series of Theorems 1 and 6 literally, square
+roots and all, in truncated series.
 """
 from __future__ import annotations
 
 from itertools import permutations as raw_permutations
+from math import comb
 
+from cyclestat.algebra import MultiPoly, TruncSeries
 from cyclestat.permutations import Permutation
 
 
@@ -122,3 +126,39 @@ def oracle_psi(word: tuple[int, ...], letters) -> tuple[int, ...]:
         else:
             image[a - 1] = w[i + 1]
     return tuple(image)
+
+
+def oracle_theorem1_radicals(order: int) -> tuple[TruncSeries, TruncSeries]:
+    """Theorem 1's u(s,t) and v(s,t), with radicand (1+t)^2 - 4st:
+
+    u = (1 + t^2 - 2st - (1-t) R) / (2 (1-s) t),
+    v = ((1+t)^2 - 2st - (1+t) R) / (2 s t),      R = sqrt((1+t)^2 - 4st),
+
+    from R at the given truncation order. Both numerators are divisible
+    by the monomials below them, and each division by s or t lowers the
+    order by one: u has order - 1, v order - 2."""
+    s, t, one = MultiPoly.s(), MultiPoly.t(), MultiPoly.one()
+    root = TruncSeries.from_poly((one + t) ** 2 - 4 * s * t, order).sqrt()
+    u_num = (one + t * t - 2 * s * t) - (one - t) * root
+    v_num = ((one + t) ** 2 - 2 * s * t) - (one + t) * root
+    u = u_num.extract_t_factor() / 2 / (one - s)
+    v = v_num.extract_s_factor().extract_t_factor() / 2
+    return u, v
+
+
+def oracle_theorem6_radicals(order: int) -> tuple[TruncSeries, TruncSeries]:
+    """Theorem 6's sqrt(1 - t) and w = 2 t^-1 (1 - sqrt(1-t)) - 1 at
+    t = 4x, as series in x: sqrt(1 - 4x) at the given order and
+    w = (1 - sqrt(1 - 4x)) / (2x) - 1 at order - 1."""
+    root = TruncSeries.from_poly(MultiPoly.one() - 4 * MultiPoly.t(), order).sqrt()
+    return root, (1 - root).extract_t_factor() / 2 - 1
+
+
+def oracle_catalan(z: TruncSeries) -> TruncSeries:
+    """C(z) = sum over m of binom(2m, m)/(m+1) z^m, the Catalan series,
+    for a series z without constant term, at z's order."""
+    power = total = TruncSeries.from_poly(MultiPoly.one(), z.order)
+    for m in range(1, z.order + 1):
+        power = power * z
+        total = total + comb(2 * m, m) // (m + 1) * power
+    return total

@@ -229,28 +229,46 @@ CATALOGUE = (
         "a failed check exits 1; 2 is kept for bad input",
     ),
     Mutant(
-        "thm1-headroom-2",
+        "catalan-negative-binomial-sign",
         "src/cyclestat/formulas.py",
-        "_theorem1_series(ct.n + 4)",
-        "_theorem1_series(ct.n + 2)",
+        "(-1) ** k * comb(k - top - 1, k)",
+        "comb(k - top - 1, k)",
         "killed",
-        "Theorem 1's product must keep a degree above n for the residue check",
+        "binom(N, k) with N < 0 is (-1)^k binom(k - N - 1, k); every Q_a with "
+        "a <= K/2 reads it",
     ),
     Mutant(
-        "thm6-headroom-1",
+        "residue-range-one-short",
         "src/cyclestat/formulas.py",
-        "_theorem6_series(ct.n + 4)",
-        "_theorem6_series(ct.n + 1)",
+        "for a in range(len(p) + 2)",
+        "for a in range(len(p) + 1)",
         "killed",
-        "Theorem 6's product must keep a degree above n for the residue check",
+        "the residue check reads every Q_a up to a = deg P + 2",
     ),
     Mutant(
-        "thm1-to-poly-slack",
+        "residue-start-one-high",
         "src/cyclestat/formulas.py",
-        'result.to_poly(ct.n), "theorem1_joint"',
-        'result.to_poly(ct.n + 1), "theorem1_joint"',
+        "for a in range(k // 2 + 1, len(q)):",
+        "for a in range(k // 2 + 2, len(q)):",
         "killed",
-        "the joint distribution of a class of n letters has total degree <= n",
+        "a class has at most K/2 cyclic valleys, so Q_a must vanish from "
+        "a = K/2 + 1 on, not only from a degree higher",
+    ),
+    Mutant(
+        "theorem6-power-of-two-shift",
+        "src/cyclestat/formulas.py",
+        "c * 2 ** (k - 2 * a)",
+        "c * 2 ** (k - a)",
+        "killed",
+        "Theorem 6 is sum_a Q_a 2^K x^a at x = t/4, so Q_a 2^(K-2a) t^a",
+    ),
+    Mutant(
+        "theorem1-one-plus-t-exponent",
+        "src/cyclestat/formulas.py",
+        "c * comb(k - 2 * a, i)",
+        "c * comb(k - a, i)",
+        "killed",
+        "z^a (1+t)^K = s^a t^a (1+t)^(K-2a) with z = st/(1+t)^2",
     ),
     Mutant(
         "orbit-size-by-walk",
@@ -299,23 +317,6 @@ CATALOGUE = (
         "the cycle tables list cval, then exc",
     ),
     Mutant(
-        "core-cut-one-short",
-        "src/cyclestat/formulas.py",
-        "part.order - min(map(sum, part._terms))",
-        "part.order - min(map(sum, part._terms)) - 1",
-        "killed",
-        "the core power is needed up to the product's order less the lowest "
-        "degree of the Eulerian part, not a degree less",
-    ),
-    Mutant(
-        "power-table-shift",
-        "src/cyclestat/formulas.py",
-        "in power(j)._terms.items():",
-        "in power(j - 1)._terms.items():",
-        "killed",
-        "P(x) = sum_J P_J x^J reads x^J from the power table",
-    ),
-    Mutant(
         "eulerian-row-unshifted",
         "src/cyclestat/formulas.py",
         "row[j] = c",
@@ -348,7 +349,7 @@ CATALOGUE = (
         "divisor = q * d",
         "killed",
         "the recurrence divides by d times the constant term, which is 2 in "
-        "Theorem 6's core and a Fraction in the power tests",
+        "the tests' Theorem 6 core and a Fraction in the power tests",
     ),
     Mutant(
         "first-difference-order",

@@ -45,7 +45,13 @@ from cyclestat.formulas import (
 from cyclestat.hopping import orbit
 from cyclestat.permutations import CycleType, identity, parse_permutation
 
-from conftest import oracle_cval, oracle_exc
+from conftest import (
+    oracle_catalan,
+    oracle_cval,
+    oracle_exc,
+    oracle_theorem1_radicals,
+    oracle_theorem6_radicals,
+)
 
 S = MultiPoly.s()
 T = MultiPoly.t()
@@ -53,19 +59,19 @@ ONE = MultiPoly.one()
 
 
 def pad_product(monkeypatch):
-    """Add t^(n+1) to every Brenti product of a class of n letters.
+    """Add X^(n+1) to the Eulerian product P(X) of every class of n letters.
 
-    Only degree n + 1 shows this fault, so a closed form must carry that
-    degree in its series and must not take it into its polynomial. (A
-    monomial of degree n + 1 in the core would reach the product only
-    above degree n + 1: the Eulerian part P(x) has no constant term
-    once the class has a cycle longer than 1.)"""
-    build = formulas._brenti_product
+    The padded product C^(-K) P(C - 1) is no polynomial in z of degree at
+    most K/2, K = n - m_1: its coefficients from z^(n+1) on are nonzero.
+    A closed form must read them and must not take them into its
+    polynomial."""
+    build = formulas._eulerian_product
 
-    def padded(ct, core, power):
-        return build(ct, core, power) + T ** (ct.n + 1)
+    def padded(ct):
+        p = build(ct)
+        return p + [0] * (ct.n + 1 - len(p)) + [1]
 
-    monkeypatch.setattr(formulas, "_brenti_product", padded)
+    monkeypatch.setattr(formulas, "_eulerian_product", padded)
 
 
 def cor2_expansions(ct):
@@ -116,7 +122,7 @@ class TestTheorem1:
                 assert theorem1_joint(ct) == dist_joint(spec, route="enumerate")
 
     def test_residue_check_sees_degree_n_plus_1(self, monkeypatch):
-        # The product must keep a degree above n for to_poly(n) to read.
+        # The residue check must read the coefficients above K/2.
         ct = CycleType((1, 3, 4))
         pad_product(monkeypatch)
         with pytest.raises(TruncationResidueError):
@@ -168,30 +174,114 @@ class TestTheorem6:
 
 
 class TestResidueReach:
-    """Every class's product reaches ``to_poly(n)`` at its full order, so
-    the residue check reads degrees above n for each class, not only for
-    the one that ``pad_product`` pads. The empty class, n = 0, takes
-    the same route: its Eulerian part is the power x^0 at x's order."""
+    """Every class's residue check reads each Q_a with K/2 < a <= deg P + 2,
+    so a fault that reaches a single one of them raises, for each class,
+    not only for the one that ``pad_product`` pads; Q_a above that range
+    is never computed. The fault adds 1 to c(a - J, 2J - K) at the lowest
+    J with P_J != 0, which only Q_a reads. The empty class, n = 0, takes
+    the same route: its product is P = 1."""
 
     @pytest.mark.parametrize(
-        "closed_form, headroom",
-        [(theorem1_joint, 2), (theorem6_cval, 3)],
-        ids=["theorem1", "theorem6"],
+        "closed_form", [theorem1_joint, theorem6_cval], ids=["theorem1", "theorem6"]
     )
-    def test_every_class_to_twelve(self, monkeypatch, closed_form, headroom):
-        orders = []
-        to_poly = TruncSeries.to_poly
-
-        def recording(self, max_total_degree):
-            orders.append(self.order)
-            return to_poly(self, max_total_degree)
-
-        monkeypatch.setattr(TruncSeries, "to_poly", recording)
+    def test_every_class_to_twelve(self, monkeypatch, closed_form):
+        catalan_power = formulas._catalan_power
         for n in range(0, 13):
             for ct in partitions_of(n):
-                orders.clear()
-                closed_form(ct)
-                assert orders == [n + headroom], ct
+                p = formulas._eulerian_product(ct)
+                k = n - ct.fixed_point_count
+                low = next(j for j, c in enumerate(p) if c)
+                expected = closed_form(ct)
+                for a in range(k // 2 + 1, len(p) + 3):
+
+                    def faulty(m, r, fault=(a - low, 2 * low - k)):
+                        return catalan_power(m, r) + ((m, r) == fault)
+
+                    monkeypatch.setattr(formulas, "_catalan_power", faulty)
+                    if a <= len(p) + 1:  # a <= deg P + 2
+                        with pytest.raises(TruncationResidueError):
+                            closed_form(ct)
+                    else:
+                        assert closed_form(ct) == expected, ct
+                    monkeypatch.undo()
+
+
+class TestRadicals:
+    """The paper's substitution series, built literally with square roots
+    by the ``tests/conftest.py`` oracles, are the Catalan-series forms
+    that the closed forms sum in integers, and the closed forms equal the
+    paper's formulas evaluated in truncated series."""
+
+    ORDER = 14
+
+    def test_theorem1_substitutions_are_catalan(self):
+        u, v = oracle_theorem1_radicals(self.ORDER)
+        z = TruncSeries.from_poly(S * T, v.order) / (ONE + T) ** 2
+        catalan = oracle_catalan(z)
+        assert v.order >= 12
+        assert v == catalan - 1
+        core = (1 + u) / (1 + u * v)
+        assert core == TruncSeries.from_poly(ONE + T, v.order) * catalan.inverse()
+
+    def test_theorem6_substitutions_are_catalan(self):
+        root, w = oracle_theorem6_radicals(self.ORDER)
+        assert w.order >= 12
+        assert w == oracle_catalan(TruncSeries.from_poly(T, w.order)) - 1
+        catalan = oracle_catalan(TruncSeries.from_poly(T, root.order))
+        assert 1 + root == 2 * catalan.inverse()
+
+    def test_catalan_power_coefficients(self):
+        """c(m, r) = [x^m] C(x)^r against the series powers of C for
+        |r| <= 20 and m <= 20, including negative r and the band
+        1 - 2m <= r <= -m - 1 where the coefficient is 0."""
+        catalan = oracle_catalan(TruncSeries.from_poly(T, 20))
+        band = 0
+        for r in range(-20, 21):
+            power = catalan**r if r >= 0 else catalan.inverse() ** -r
+            for m in range(21):
+                c = formulas._catalan_power(m, r)
+                assert c == power.coefficient(0, m), (m, r)
+                if 1 - 2 * m <= r <= -m - 1:
+                    band += 1
+                    assert c == 0, (m, r)
+                elif m == 0 or r != 0:
+                    assert c != 0, (m, r)
+        assert band == 90
+
+    @staticmethod
+    def literal(ct, core, x, order):
+        """(n!/z_lambda) core^(n - m_1) prod [A_(i-1)(x)/(i-1)!]^(m_i) as
+        a series at the given order, each A_d(x) summed term by term."""
+        z_lambda = math.prod(
+            size**mult * math.factorial(mult) for size, mult in ct.multiplicities.items()
+        )
+        product = TruncSeries.from_poly(ONE, order) * core ** (
+            ct.n - ct.fixed_point_count
+        )
+        for size, mult in ct.multiplicities.items():
+            a_of_x = TruncSeries.from_poly(MultiPoly.zero(), order)
+            for (_, j), c in eulerian(size - 1).terms.items():
+                a_of_x = a_of_x + c * x**j
+            product = product * (a_of_x / math.factorial(size - 1)) ** mult
+        return product * Fraction(math.factorial(ct.n), z_lambda)
+
+    def test_closed_forms_are_the_papers_formulas(self):
+        """Theorems 1 and 6 evaluated as the paper writes them, for every
+        class with n <= 7, at order n + 4: the radicals leave order n + 2
+        (Theorem 1) or n + 3 (Theorem 6), and to_poly(n) requires the
+        degrees above n to vanish."""
+        for n in range(0, 8):
+            u, v = oracle_theorem1_radicals(n + 4)
+            root, w = oracle_theorem6_radicals(n + 4)
+            for ct in partitions_of(n):
+                joint = self.literal(ct, (1 + u) / (1 + u * v), v, v.order)
+                assert joint.to_poly(n) == theorem1_joint(ct), ct
+                # At t = 4x: the coefficient of x^k is 4^k that of t^k.
+                at_4x = self.literal(ct, 1 + root, w, w.order).to_poly(n)
+                cval = MultiPoly(
+                    {(0, k): Fraction(c, 4**k) for (_, k), c in at_4x.terms.items()}
+                )
+                assert cval == theorem6_cval(ct), ct
 
 
 class TestBeyondEnumeration:
@@ -226,10 +316,15 @@ class TestBeyondEnumeration:
         for ct in partitions_of(17):
             self.assert_routes_agree(ct)
 
+    @pytest.mark.parametrize("n", [18, 19, 20])
+    def test_every_class_eighteen_to_twenty(self, n):
+        for ct in partitions_of(n):
+            self.assert_routes_agree(ct)
+
     def test_single_cycles(self):
         # Both sides multiply over cycles, so a class-level theorem
         # reduces to these factors.
-        for m in range(10, 31):
+        for m in range(10, 41):
             self.assert_routes_agree(CycleType((m,)))
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
