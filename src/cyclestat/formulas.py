@@ -38,7 +38,12 @@ C^(-K) P(C - 1), and Lagrange inversion gives each coefficient of a
 power of C as one binomial: a class costs one integer sum per Q_a.
 Every Q_a above K/2 must vanish; a nonzero one raises
 ``TruncationResidueError``, a loud check against a fault in the
-product.
+product. P and Q are built once per class per process, residue check
+included, and kept as tuples: ``brenti`` reads P, Theorems 1 and 6 read
+Q, and ``theorem2_check`` compares Q, summed over a spec's classes,
+with the enumerated gammas. The two caches hold 0.4 MiB for all 915
+classes with n <= 16 and 6.3 MiB for all 7,338 classes with n <= 24
+(tracemalloc).
 * ``lemma1_check`` / ``theorem4_check`` / ``theorem5_check``: identities
   relating the excedance distribution to the joint (or cval)
   distribution over any hop-invariant family, verified in cleared
@@ -46,7 +51,9 @@ product.
 * ``theorem2_check``, which decides Theorem 2, and the corollary
   checks: gamma-positivity of the excedance distribution, with the two
   readings of its gammas that ``theorem2_gamma`` counts (orbit
-  representatives without cyclic double ascents, orbit counts over 2^j).
+  representatives without cyclic double ascents, orbit counts over 2^j)
+  and a third, the Q_a of the closed form, that ``theorem2_check``
+  compares with them.
   ``theorem2_gamma`` is the one count of those gammas: Theorem 5 and
   Corollaries 3 and 4 reconstruct their right sides from its
   ``by_orbit_scaling`` reading, and all four compare the enumerated
@@ -169,7 +176,8 @@ def _times(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _eulerian_product(ct: CycleType) -> list[int]:
+@lru_cache(maxsize=None)
+def _eulerian_product(ct: CycleType) -> tuple[int, ...]:
     """The coefficients, lowest degree first, of Brenti's product as a
     polynomial in X: (n!/z_lambda) * prod over part sizes i of
     [A_(i-1)(X)/(i-1)!]^(m_i), in ZZ[X], of degree at most n.
@@ -177,7 +185,8 @@ def _eulerian_product(ct: CycleType) -> list[int]:
     The factors A_d(X) are multiplied unscaled, on plain lists of ints,
     and the scalar is folded into the coefficients once, as the integer
     multinomial n!/prod_i(i!^(m_i) m_i!), which is
-    (n!/z_lambda)/prod_i (i-1)!^(m_i)."""
+    (n!/z_lambda)/prod_i (i-1)!^(m_i). Built once per class per process
+    and kept as a tuple, so the callers that share it cannot change it."""
     product = [1]
     denominator = 1
     for size, mult in sorted(ct.multiplicities.items()):
@@ -188,7 +197,7 @@ def _eulerian_product(ct: CycleType) -> list[int]:
         for _ in range(mult):
             product = _times(product, row)
     scalar = factorial(ct.n) // denominator
-    return [c * scalar for c in product]
+    return tuple(c * scalar for c in product)
 
 
 def brenti(ct: CycleType) -> MultiPoly:
@@ -222,8 +231,9 @@ def _catalan_power(m: int, r: int) -> int:
     return value
 
 
-def _lagrange_sum(ct: CycleType) -> tuple[int, list[int]]:
-    """(K, [Q_0, ..., Q_(K//2)]) with K = n - m_1, where
+@lru_cache(maxsize=None)
+def _lagrange_sum(ct: CycleType) -> tuple[int, tuple[int, ...]]:
+    """(K, (Q_0, ..., Q_(K//2))) with K = n - m_1, where
     Q_a = sum_(J <= a) P_J c(a - J, 2J - K), P is :func:`_eulerian_product`
     and c is :func:`_catalan_power`: the coefficients of
     C(z)^(-K) P(C(z) - 1) = sum_a Q_a z^a, the Brenti product of Theorems
@@ -233,7 +243,8 @@ def _lagrange_sum(ct: CycleType) -> tuple[int, list[int]]:
     distribution has at most K/2 cyclic valleys. Q_a is computed for
     a <= deg P + 2, and a nonzero Q_a above K/2 raises
     ``TruncationResidueError``: the sign of a fault in the product or in
-    the coefficients."""
+    the coefficients. Computed once per class per process, residue check
+    included, and shared by Theorems 1, 2 and 6."""
     p = _eulerian_product(ct)
     k = ct.n - ct.fixed_point_count
     q = [
@@ -246,7 +257,7 @@ def _lagrange_sum(ct: CycleType) -> tuple[int, list[int]]:
                 f"nonzero coefficient {q[a]} of z^{a} above degree {k // 2} "
                 f"for the class {ct}: not a polynomial of the asserted degree"
             )
-    return k, q[: k // 2 + 1]
+    return k, tuple(q[: k // 2 + 1])
 
 
 def theorem1_joint(ct: CycleType) -> MultiPoly:
@@ -438,24 +449,48 @@ def _reconstruction_check(claim: str, spec: ClassSpec, gammas) -> VerificationRe
     )
 
 
+def _closed_form_gammas(spec: ClassSpec) -> tuple[int, ...]:
+    """The gammas of dist_exc(spec) read off the closed form: the Q_a of
+    :func:`_lagrange_sum` summed over the spec's classes, which share
+    K = n - k. At s = 1 Theorem 1's sum_a Q_a s^a t^a (1+t)^(K-2a) is the
+    gamma expansion of the class's excedance distribution. A cell spec
+    keeps only its own a = i."""
+    gammas = [0] * ((spec.n - spec.fixed_point_count) // 2 + 1)
+    for ct in spec.cycle_types():
+        for a, q in enumerate(_lagrange_sum(ct)[1]):
+            if spec.cval is None or spec.cval == a:
+                gammas[a] += q
+    return tuple(gammas)
+
+
+def _readings_report(spec: ClassSpec, lhs, rhs) -> VerificationReport:
+    """Theorem 2's report on two gamma readings that differ: their
+    reconstructions, side by side."""
+    return VerificationReport(
+        "theorem2",
+        spec.instance(),
+        lhs=_reconstruction(spec, lhs),
+        rhs=_reconstruction(spec, rhs),
+    )
+
+
 def theorem2_check(spec: ClassSpec) -> VerificationReport:
     """Report form of :func:`theorem2_gamma`: dist_exc against the
     reconstruction from the no-double-ascent counts, with the two gamma
-    witness readings required to agree.
+    witness readings required to agree, and the no-double-ascent counts
+    required to equal the closed form's gammas, :func:`_closed_form_gammas`.
 
-    The basis t^i (1+t)^(m-2i) is linearly independent, so the two count
+    The basis t^i (1+t)^(m-2i) is linearly independent, so two count
     vectors agree exactly when their reconstructions do; when they
     differ, the report compares those reconstructions directly so the
     witness points at the discrepancy.
     """
     data = theorem2_gamma(spec)
     if data.by_no_double_ascent != data.by_orbit_scaling:
-        return VerificationReport(
-            "theorem2",
-            spec.instance(),
-            lhs=_reconstruction(spec, data.by_no_double_ascent),
-            rhs=_reconstruction(spec, data.by_orbit_scaling),
-        )
+        return _readings_report(spec, data.by_no_double_ascent, data.by_orbit_scaling)
+    closed_form = _closed_form_gammas(spec)
+    if data.by_no_double_ascent != closed_form:
+        return _readings_report(spec, data.by_no_double_ascent, closed_form)
     return _reconstruction_check("theorem2", spec, data.by_no_double_ascent)
 
 

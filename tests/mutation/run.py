@@ -81,6 +81,15 @@ CATALOGUE = (
         "Theorem 2 requires the two gamma readings to agree",
     ),
     Mutant(
+        "theorem2-closed-form-unchecked",
+        "src/cyclestat/formulas.py",
+        "if data.by_no_double_ascent != closed_form:",
+        "if False:",
+        "killed",
+        "Theorem 2 requires the no-double-ascent counts to be the Q_a of the "
+        "closed form, summed over the spec's classes",
+    ),
+    Mutant(
         "main-bad-input-exit-fail",
         "src/cyclestat/cli.py",
         'print(f"error: {err}", file=sys.stderr)\n        return EXIT_USAGE',

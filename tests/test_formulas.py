@@ -58,7 +58,40 @@ T = MultiPoly.t()
 ONE = MultiPoly.one()
 
 
-def pad_product(monkeypatch):
+# The cached helpers themselves, kept here so they can be cleared while a
+# test has patched their names in ``formulas``.
+CLASS_CACHES = (formulas._eulerian_product, formulas._lagrange_sum)
+
+
+def clear_class_caches():
+    """Empty the per-class caches of P and Q in ``formulas``."""
+    for cached in CLASS_CACHES:
+        cached.cache_clear()
+
+
+@pytest.fixture
+def uncached(monkeypatch):
+    """``monkeypatch`` on ``formulas``, with the per-class caches of P and
+    Q cleared at each ``setattr``, at each ``undo`` and at teardown: a
+    cached P or Q would hide the patched helper, and one computed through
+    the patch must not outlive it."""
+
+    class Uncached:
+        @staticmethod
+        def setattr(name, value):
+            monkeypatch.setattr(formulas, name, value)
+            clear_class_caches()
+
+        @staticmethod
+        def undo():
+            monkeypatch.undo()
+            clear_class_caches()
+
+    yield Uncached
+    clear_class_caches()
+
+
+def pad_product(uncached):
     """Add X^(n+1) to the Eulerian product P(X) of every class of n letters.
 
     The padded product C^(-K) P(C - 1) is no polynomial in z of degree at
@@ -68,10 +101,10 @@ def pad_product(monkeypatch):
     build = formulas._eulerian_product
 
     def padded(ct):
-        p = build(ct)
+        p = list(build(ct))
         return p + [0] * (ct.n + 1 - len(p)) + [1]
 
-    monkeypatch.setattr(formulas, "_eulerian_product", padded)
+    uncached.setattr("_eulerian_product", padded)
 
 
 def cor2_expansions(ct):
@@ -121,10 +154,10 @@ class TestTheorem1:
                 spec = ClassSpec.of_cycle_type(ct)
                 assert theorem1_joint(ct) == dist_joint(spec, route="enumerate")
 
-    def test_residue_check_sees_degree_n_plus_1(self, monkeypatch):
+    def test_residue_check_sees_degree_n_plus_1(self, uncached):
         # The residue check must read the coefficients above K/2.
         ct = CycleType((1, 3, 4))
-        pad_product(monkeypatch)
+        pad_product(uncached)
         with pytest.raises(TruncationResidueError):
             theorem1_joint(ct)
 
@@ -161,9 +194,9 @@ class TestTheorem6:
                 spec = ClassSpec.of_cycle_type(ct)
                 assert theorem6_cval(ct) == dist_cval(spec, route="enumerate")
 
-    def test_residue_check_sees_degree_n_plus_1(self, monkeypatch):
+    def test_residue_check_sees_degree_n_plus_1(self, uncached):
         ct = CycleType((1, 3, 4))
-        pad_product(monkeypatch)
+        pad_product(uncached)
         with pytest.raises(TruncationResidueError):
             theorem6_cval(ct)
 
@@ -184,7 +217,7 @@ class TestResidueReach:
     @pytest.mark.parametrize(
         "closed_form", [theorem1_joint, theorem6_cval], ids=["theorem1", "theorem6"]
     )
-    def test_every_class_to_twelve(self, monkeypatch, closed_form):
+    def test_every_class_to_twelve(self, uncached, closed_form):
         catalan_power = formulas._catalan_power
         for n in range(0, 13):
             for ct in partitions_of(n):
@@ -197,13 +230,50 @@ class TestResidueReach:
                     def faulty(m, r, fault=(a - low, 2 * low - k)):
                         return catalan_power(m, r) + ((m, r) == fault)
 
-                    monkeypatch.setattr(formulas, "_catalan_power", faulty)
+                    uncached.setattr("_catalan_power", faulty)
                     if a <= len(p) + 1:  # a <= deg P + 2
                         with pytest.raises(TruncationResidueError):
                             closed_form(ct)
                     else:
                         assert closed_form(ct) == expected, ct
-                    monkeypatch.undo()
+                    uncached.undo()
+
+
+class TestClassCaches:
+    """P and Q are built once per class per process and shared by
+    ``brenti``, Theorems 1 and 6: a route reads the same polynomial
+    whether it builds them or finds them built by the others."""
+
+    ROUTES = {"brenti": brenti, "theorem1": theorem1_joint, "theorem6": theorem6_cval}
+
+    @pytest.mark.parametrize("name", ROUTES)
+    def test_cold_and_warm_routes_agree_to_twelve(self, name):
+        route = self.ROUTES[name]
+        others = [other for other in self.ROUTES.values() if other is not route]
+        for n in range(0, 13):
+            for ct in partitions_of(n):
+                clear_class_caches()
+                cold = route(ct)
+                clear_class_caches()
+                for other in others:
+                    other(ct)
+                assert route(ct) == cold, ct
+
+    def test_helpers_return_tuples(self):
+        for ct in partitions_of(7):
+            p = formulas._eulerian_product(ct)
+            k, q = formulas._lagrange_sum(ct)
+            assert type(p) is tuple and all(type(c) is int for c in p), ct
+            assert type(k) is int and type(q) is tuple, ct
+            assert all(type(c) is int for c in q), ct
+
+    def test_theorem6_reads_the_q_of_theorem1(self):
+        ct = CycleType((2, 3, 3, 5))
+        clear_class_caches()
+        theorem1_joint(ct)
+        misses = formulas._lagrange_sum.cache_info().misses
+        theorem6_cval(ct)
+        assert formulas._lagrange_sum.cache_info().misses == misses
 
 
 class TestRadicals:
@@ -332,6 +402,16 @@ class TestBeyondEnumeration:
     def test_random_classes_to_fourteen(self, ct):
         self.assert_routes_agree(ct)
         assert brenti(ct) == dist_exc(ClassSpec.of_cycle_type(ct)), ct
+
+    @pytest.mark.parametrize("n", [21, 22, 23])
+    def test_gamma_positivity_twenty_one_to_twenty_three(self, n):
+        """Theorem 2 read off the closed form: each Q_a, a signed sum of
+        Catalan binomials, is a nonnegative integer, and the orbits it
+        counts, of 2^(K-2a) members each, make up the class."""
+        for ct in partitions_of(n):
+            k, q = formulas._lagrange_sum(ct)
+            assert all(type(c) is int and c >= 0 for c in q), ct
+            assert sum(c * 2 ** (k - 2 * a) for a, c in enumerate(q)) == class_size(ct), ct
 
     def test_egf_every_cell_to_twenty(self):
         """All 945 (n, k, i) cells with n <= 20 against one factorized
@@ -511,6 +591,26 @@ class TestTheorem2:
         assert not report.passed
         assert report.lhs == MultiPoly.zero()
         assert report.rhs == (ONE + T) ** 2 * Fraction(1, 4)
+
+    @pytest.mark.parametrize("text", ["1,2,2,4", "n=6,k=1"])
+    def test_closed_form_gammas_are_a_third_reading(self, monkeypatch, text):
+        # One Q_a of each class off by one: the enumerated readings still
+        # agree, so the report compares the no-double-ascent
+        # reconstruction, dist_exc itself, with the closed form's.
+        spec = ClassSpec.parse(text)
+        lagrange_sum = formulas._lagrange_sum
+
+        def faulty(ct):
+            k, q = lagrange_sum(ct)
+            return k, q[:1] + (q[1] + 1,) + q[2:]
+
+        monkeypatch.setattr(formulas, "_lagrange_sum", faulty)
+        report = theorem2_check(spec)
+        assert report.verdict == "fail"
+        m = spec.n - spec.fixed_point_count
+        assert report.lhs == dist_exc(spec, route="enumerate")
+        assert report.rhs - report.lhs == len(spec.cycle_types()) * T * (1 + T) ** (m - 2)
+        assert report.witness["monomial"] == {"s": 0, "t": 1}
 
 
 class TestCorollaries:
