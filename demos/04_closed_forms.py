@@ -2,13 +2,12 @@
 # The same polynomials along a second, independent route: products of
 # Eulerian polynomials with algebraic substitutions. The library sums
 # the substituted products in integers through the Catalan series, so
-# no square root is evaluated; the exact series below show one radical.
+# no square root is evaluated; below, those integers for one class.
 
 from cyclestat import (
     ClassSpec,
-    MultiPoly,
-    TruncSeries,
     brenti,
+    class_size,
     dist_cval,
     dist_exc,
     dist_joint,
@@ -24,7 +23,7 @@ for n in range(0, 6):
     print(f"A_{n}(t) =", eulerian(n))
 
 # Excedance distribution over a class as a scaled product of Eulerians,
-# checked against enumeration, which visits every member.
+# checked against the enumeration route.
 print()
 for text in ("3", "1,2,2", "2,3,4"):
     ct = CycleType.from_text(text)
@@ -32,10 +31,23 @@ for text in ("3", "1,2,2", "2,3,4"):
     enumerated = dist_exc(ClassSpec.of_cycle_type(ct), route="enumerate")
     print(f"lambda={text}: {closed}   (matches enumeration: {closed == enumerated})")
 
-# A taste of the series machinery: sqrt(1-t) as an exact series.
+# The Catalan reading of the radicals. With z = st/(1+t)^2 and the
+# Catalan series C(z) = 1 + z C(z)^2, Theorem 1's substitutions are
+# v = C(z) - 1 and (1+u)/(1+uv) = (1+t)/C(z). So with K = n - m_1 the
+# joint closed form is sum_a Q_a s^a t^a (1+t)^(K-2a) for integers Q_a,
+# and Q_a is its coefficient of s^a t^a. Theorem 6 is
+# sum_a Q_a 2^(K-2a) t^a, so sum_a Q_a 2^(K-2a) is the class size. Each
+# cycle of length 2 or more holds a cyclic valley, so here Q_0 to Q_2
+# are 0.
 print()
-root = TruncSeries.from_poly(MultiPoly.one() - MultiPoly.t(), 5).sqrt()
-print("sqrt(1-t) =", root)
+ct = CycleType((2, 3, 4))
+k = ct.n - ct.fixed_point_count
+joint = theorem1_joint(ct)
+q = [int(joint.coefficient(a, a)) for a in range(k // 2 + 1)]
+print(f"lambda=2,3,4, K={k}: Q_a =", ", ".join(map(str, q)))
+total = sum(c * 2 ** (k - 2 * a) for a, c in enumerate(q))
+print(f"sum_a Q_a 2^(K-2a) = {total}, class size {class_size(ct)}:",
+      total == class_size(ct))
 
 # The joint (cval, exc) closed form needs the bivariate radical
 # sqrt((1+t)^2 - 4st); the radicals cancel and an exact polynomial

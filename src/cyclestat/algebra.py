@@ -1,7 +1,7 @@
-"""Exact polynomial and truncated power-series arithmetic over the rationals.
+"""Exact polynomial arithmetic over the rationals.
 
 Everything here is exact: a coefficient is stored as an ``int`` where it
-is integral and as a ``fractions.Fraction`` only where a division makes
+is integral and as a ``fractions.Fraction`` only where a scalar makes
 one, equality is true equality, and no floating point is ever involved.
 The public accessors (``terms``, ``coefficient``, ``evaluate`` and
 ``GammaExpansion.gammas``) return ``Fraction`` values whatever the
@@ -9,27 +9,11 @@ storage.
 
 ``MultiPoly`` is a sparse polynomial in the two variables s and t, keyed
 by exponent pairs (deg_s, deg_t). Univariate polynomials in t are simply
-the members with no s. ``TruncSeries`` is a ``MultiPoly`` plus a
-truncation order, the quotient of that ring by total degree: all terms
-with deg_s + deg_t > order are discarded, which makes units invertible
-and series with constant term 1 admit square roots. The ring operations,
-scalar products and division by s or t are written once, in
-``MultiPoly``; a series adds only its truncating product with another
-polynomial, how orders combine (mixing gives the smaller order), power,
-inverse, division, square root, and the order it loses in a division by
-s or t. The truncating product keys each term (a, b) by the packed
-integer a*(order+1) + b, which is exact because no t-degree within the
-order reaches the packing width. A power of a series with a nonzero
-constant term, inverse and square root are one recurrence, J. C. P.
-Miller's for the exponent p/q (k/1, -1/1 and 1/2), solved one total
-degree at a time on the same packed keys; every division in it is
-exact and gives an int whenever its quotient is integral, so an
-integral radicand whose root is integral never builds a ``Fraction``.
-It evaluates substitution formulas whose closed forms contain radicals,
-such as the paper's Theorems 1 and 6 as the tests build them; whenever
-the represented function is actually a polynomial, ``to_poly`` recovers
-it and loudly rejects leftover high-order terms (the sign of a
-too-small truncation order).
+the members with no s. It has the ring operations, scalar products and
+division by t, and no power series: the paper's radicals are never
+evaluated, since :mod:`cyclestat.formulas` reads Theorems 1 and 6 off
+integer sums. The tests build those radicals literally, in a truncated
+series of their own.
 
 ``eulerian(n)`` is the classic descent-counting polynomial, normalized so
 that the lowest term is t^1 for n >= 1 (and 1 for n = 0); it is computed
@@ -41,12 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain
 from typing import Mapping
 
 __all__ = [
     "MultiPoly",
-    "TruncSeries",
     "GammaExpansion",
     "GammaExpansionError",
     "TruncationResidueError",
@@ -59,7 +41,8 @@ Scalar = int | Fraction
 
 
 class TruncationResidueError(ValueError):
-    """A series expected to be a polynomial has nonzero high-order terms."""
+    """A closed form left a nonzero coefficient above the degree its
+    polynomial must stop at."""
 
 
 class GammaExpansionError(ValueError):
@@ -70,73 +53,24 @@ class GammaExpansionError(ValueError):
         self.residual = residual
 
 
-def _exact(value) -> Scalar:
-    """value as an int when it is integral, else as a Fraction."""
-    value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
-
-
-def _quotient(a: Scalar, b: Scalar) -> Scalar:
-    """a / b exactly, as an int when b divides a."""
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        if not r:
-            return q
-    return _exact(Fraction(a, b))
-
-
-def _clean(
-    terms: Mapping[Exponents, Scalar], order: float = float("inf")
-) -> dict[Exponents, Scalar]:
-    """The nonzero terms with total degree at most order, each stored as
-    an int where integral."""
+def _clean(terms: Mapping[Exponents, Scalar]) -> dict[Exponents, Scalar]:
+    """The nonzero terms, each stored as an int where integral."""
     out = {}
     for key, value in terms.items():
-        if key[0] + key[1] > order:
-            continue
         if type(value) is not int:
-            value = _exact(value)
+            value = Fraction(value)
+            if value.denominator == 1:
+                value = value.numerator
         if value:
             out[key] = value
     return out
-
-
-def _convolve(
-    acc: dict[Exponents, Scalar],
-    a: Mapping[Exponents, Scalar],
-    b: Mapping[Exponents, Scalar],
-) -> None:
-    """acc += a * b, on term dicts."""
-    get = acc.get
-    for (i, j), x in a.items():
-        for (k, l), y in b.items():
-            key = (i + k, j + l)
-            acc[key] = get(key, 0) + x * y
-
-
-def _packed_parts(
-    terms: Mapping[Exponents, Scalar], width: int
-) -> list[list[tuple[int, Scalar]]]:
-    """The terms of total degree below width, one list per degree, each
-    term s^a t^b keyed by the packed integer a*width + b (exact at width
-    order + 1, see ``TruncSeries.__mul__``)."""
-    parts: list[list[tuple[int, Scalar]]] = [[] for _ in range(width)]
-    for (a, b), c in terms.items():
-        if a + b < width:
-            parts[a + b].append((a * width + b, c))
-    return parts
-
-
-def _unpacked(items, width: int) -> dict[Exponents, Scalar]:
-    """Packed (key, coefficient) pairs back on exponent pairs."""
-    return {divmod(key, width): c for key, c in items}
 
 
 class MultiPoly:
     """Sparse exact polynomial in s and t.
 
     Coefficients are stored as ``int`` where integral and as ``Fraction``
-    where a division made one; the public accessors return ``Fraction``.
+    where a scalar made one; the public accessors return ``Fraction``.
 
     >>> p = (MultiPoly.one() + MultiPoly.t()) ** 2
     >>> str(p)
@@ -151,7 +85,6 @@ class MultiPoly:
         self._terms = _clean(terms or {})
 
     # -- constructors -------------------------------------------------
-    # Static: reached through ``TruncSeries`` too, they build polynomials.
 
     @staticmethod
     def zero() -> "MultiPoly":
@@ -192,9 +125,6 @@ class MultiPoly:
     def is_univariate_in_t(self) -> bool:
         return all(ds == 0 for ds, _ in self._terms)
 
-    def has_integer_coefficients(self) -> bool:
-        return all(c.denominator == 1 for c in self._terms.values())
-
     def s_degree(self) -> int:
         return max((ds for ds, _ in self._terms), default=-1)
 
@@ -209,15 +139,6 @@ class MultiPoly:
 
     # -- ring operations ----------------------------------------------
 
-    def _new(self, terms: Mapping[Exponents, Scalar]) -> "MultiPoly":
-        """A value of the same kind as self (a series keeps its order)."""
-        return MultiPoly(terms)
-
-    def _meet(self, other: "MultiPoly") -> "MultiPoly":
-        """The operand whose kind a result of self and other takes; a
-        polynomial defers to the other operand, polynomial or series."""
-        return other
-
     def __add__(self, other) -> "MultiPoly":
         other = _as_poly(other)
         if other is NotImplemented:
@@ -225,12 +146,12 @@ class MultiPoly:
         terms = dict(self._terms)
         for key, value in other._terms.items():
             terms[key] = terms.get(key, 0) + value
-        return self._meet(other)._new(terms)
+        return MultiPoly(terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return self._new({key: -value for key, value in self._terms.items()})
+        return MultiPoly({key: -value for key, value in self._terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
         other = _as_poly(other)
@@ -246,13 +167,15 @@ class MultiPoly:
 
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
-            return self._new(
-                {key: value * other for key, value in self._terms.items()}
-            )
+            return MultiPoly({key: value * other for key, value in self._terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
         terms: dict[Exponents, Scalar] = {}
-        _convolve(terms, self._terms, other._terms)
+        get = terms.get
+        for (i, j), x in self._terms.items():
+            for (k, l), y in other._terms.items():
+                key = (i + k, j + l)
+                terms[key] = get(key, 0) + x * y
         return MultiPoly(terms)
 
     __rmul__ = __mul__
@@ -260,7 +183,7 @@ class MultiPoly:
     def __pow__(self, exponent: int) -> "MultiPoly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = self._new({(0, 0): 1})
+        result = MultiPoly.one()
         base = self
         while exponent:
             if exponent & 1:
@@ -288,15 +211,11 @@ class MultiPoly:
             total += c * s_value**ds * t_value**dt
         return total
 
-    def _divided(self, ds: int, dt: int) -> dict[Exponents, Scalar]:
-        """The terms of self / (s^ds t^dt); every term must be divisible."""
-        if any(a < ds or b < dt for a, b in self._terms):
-            raise ValueError(f"not divisible by {MultiPoly.monomial(ds, dt)}")
-        return {(a - ds, b - dt): c for (a, b), c in self._terms.items()}
-
     def extract_t_factor(self) -> "MultiPoly":
         """Divide by t; every term must have deg_t >= 1."""
-        return MultiPoly(self._divided(0, 1))
+        if any(b < 1 for _, b in self._terms):
+            raise ValueError("not divisible by t")
+        return MultiPoly({(a, b - 1): c for (a, b), c in self._terms.items()})
 
     # -- rendering ----------------------------------------------------
 
@@ -425,201 +344,3 @@ def gamma_expand(f: MultiPoly, center_numerator: int) -> GammaExpansion:
             f"polynomial is not symmetric about {m}/2", residual
         )
     return GammaExpansion(center_numerator=m, gammas=tuple(gammas))
-
-
-class TruncSeries(MultiPoly):
-    """Bivariate power series truncated at a total degree.
-
-    A ``MultiPoly`` plus a truncation order: all terms with
-    deg_s + deg_t > order are identified with zero, so the arithmetic is
-    exact in the quotient ring. The ring operations, scalar products and
-    factor extractions are ``MultiPoly``'s; combining a series with a
-    polynomial, a scalar or another series gives a series at the smaller
-    order, on either side. A power with a nonzero constant term, the
-    inverse and the square root are one recurrence for the exponent p/q
-    (:meth:`_rational_power`), which reads each new total degree off the
-    lower ones.
-
-    >>> one = TruncSeries.from_poly(MultiPoly.one(), 3)
-    >>> t = TruncSeries.from_poly(MultiPoly.t(), 3)
-    >>> str((one / (one - t)).to_poly(3))
-    '1 + t + t^2 + t^3'
-    """
-
-    __slots__ = ("order",)
-
-    def __init__(self, terms: Mapping[Exponents, Scalar], order: int):
-        if order < 0:
-            raise ValueError("truncation order must be nonnegative")
-        self._terms = _clean(terms, order)
-        self.order = order
-
-    @classmethod
-    def from_poly(cls, p: MultiPoly, order: int) -> "TruncSeries":
-        return cls(p._terms, order)
-
-    # -- how orders combine --------------------------------------------
-
-    def _new(self, terms: Mapping[Exponents, Scalar]) -> "TruncSeries":
-        return TruncSeries(terms, self.order)
-
-    def _meet(self, other: MultiPoly) -> "TruncSeries":
-        if isinstance(other, TruncSeries) and other.order < self.order:
-            return other
-        return self
-
-    def __eq__(self, other) -> bool:
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if isinstance(other, TruncSeries) and other.order != self.order:
-            return False
-        return super().__eq__(self._new(other._terms))
-
-    # -- arithmetic ----------------------------------------------------
-
-    def __mul__(self, other) -> "TruncSeries":
-        """The truncated product, on packed exponents.
-
-        Each term s^a t^b is keyed by the integer a*W + b, W = order + 1.
-        That is exact: b <= order < W holds in both factors and in every
-        product that stays within the order, so no carry crosses into a.
-        The right terms are ordered by degree once per call, so each left
-        term of degree i meets only the prefix of degree at most
-        order - i, and the int-keyed accumulator is unpacked once by
-        ``divmod``.
-        """
-        if not isinstance(other, MultiPoly):
-            return super().__mul__(other)
-        order = self._meet(other).order
-        width = order + 1
-        parts = _packed_parts(other._terms, width)
-        right = list(chain.from_iterable(parts))
-        ends = list(accumulate(map(len, parts)))
-        acc: dict[int, Scalar] = {}
-        get = acc.get
-        for (a, b), x in self._terms.items():
-            room = order - a - b
-            if room < 0:
-                continue
-            p = a * width + b
-            for q, y in right[: ends[room]]:
-                q += p
-                acc[q] = get(q, 0) + x * y
-        return TruncSeries(_unpacked(acc.items(), width), order)
-
-    __rmul__ = __mul__
-
-    def _rational_power(self, p: int, q: int, first: Scalar) -> "TruncSeries":
-        """self^(p/q) with constant term ``first``, in one pass.
-
-        Solves g = f^(p/q) one total degree at a time by the Euler-operator
-        recurrence (J. C. P. Miller; Knuth, TAOCP vol. 2, 4.7), which holds
-        for any rational exponent: with c the constant term of f and f_i,
-        g_i the parts of degree i, g_0 = first and
-        q d c g_d = sum over 1 <= i <= d of ((p+q) i - q d) f_i g_(d-i),
-        each quotient exact, on packed exponents as in the product.
-        """
-        c = self._terms[(0, 0)]
-        width = self.order + 1
-        f = _packed_parts(self._terms, width)
-        g = [[(0, first)]]
-        for d in range(1, width):
-            acc: dict[int, Scalar] = {}
-            get = acc.get
-            for i, part in enumerate(f[1 : d + 1], 1):
-                weight = (p + q) * i - q * d
-                lower = g[d - i]
-                for key, x in part:
-                    x *= weight
-                    for other, y in lower:
-                        other += key
-                        acc[other] = get(other, 0) + x * y
-            divisor = q * d * c
-            g.append([(key, _quotient(v, divisor)) for key, v in acc.items() if v])
-        return TruncSeries(_unpacked(chain.from_iterable(g), width), self.order)
-
-    def __pow__(self, exponent: int) -> "TruncSeries":
-        """self^k in one pass of :meth:`_rational_power` (p/q = k/1, g_0 =
-        c^k) when the constant term c is nonzero. A series without a
-        constant term is raised by ``MultiPoly``'s repeated squaring."""
-        c = self._terms.get((0, 0), 0)
-        if not c or not isinstance(exponent, int) or exponent < 0:
-            return super().__pow__(exponent)
-        return self._rational_power(exponent, 1, c**exponent)
-
-    def inverse(self) -> "TruncSeries":
-        """Multiplicative inverse; requires a nonzero constant term c.
-
-        One pass of :meth:`_rational_power` with p/q = -1 and g_0 = 1/c,
-        where the recurrence reads g_d = -(1/c) * sum of f_i g_(d-i).
-        """
-        c = self._terms.get((0, 0), 0)
-        if not c:
-            raise ValueError("cannot invert a series with zero constant term")
-        return self._rational_power(-1, 1, _quotient(1, c))
-
-    def __truediv__(self, other) -> "TruncSeries":
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                raise ZeroDivisionError("division by zero")
-            return TruncSeries(
-                {key: _quotient(value, other) for key, value in self._terms.items()},
-                self.order,
-            )
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * self._meet(other)._new(other._terms).inverse()
-
-    def sqrt(self) -> "TruncSeries":
-        """Square root with constant term 1 (the +1 branch).
-
-        One pass of :meth:`_rational_power` with p/q = 1/2 and g_0 = 1,
-        where the recurrence reads 2 d g_d = sum of (3i - 2d) f_i g_(d-i).
-        Every quotient is exact and stays an int when it is integral, so
-        an integral root never builds a ``Fraction``.
-
-        >>> t = TruncSeries.from_poly(MultiPoly.t(), 3)
-        >>> (1 - t).sqrt().terms[(0, 1)]
-        Fraction(-1, 2)
-        """
-        if self._terms.get((0, 0), 0) != 1:
-            raise ValueError("square root requires constant term exactly 1")
-        return self._rational_power(1, 2, 1)
-
-    def extract_t_factor(self) -> "TruncSeries":
-        """Divide by t, reducing the truncation order by one."""
-        return TruncSeries(self._divided(0, 1), self.order - 1)
-
-    def extract_s_factor(self) -> "TruncSeries":
-        """Divide by s, reducing the truncation order by one."""
-        return TruncSeries(self._divided(1, 0), self.order - 1)
-
-    def to_poly(self, max_total_degree: int) -> MultiPoly:
-        """Interpret the series as a polynomial of bounded total degree.
-
-        Any nonzero term with total degree above ``max_total_degree`` but
-        within the truncation order means the series does not represent
-        such a polynomial (or the order was too small to tell); that is
-        reported loudly rather than truncated away.
-        """
-        rogue = {
-            key: value
-            for key, value in self._terms.items()
-            if key[0] + key[1] > max_total_degree
-        }
-        if rogue:
-            worst = sorted(rogue)[0]
-            raise TruncationResidueError(
-                f"nonzero term s^{worst[0]}*t^{worst[1]} above total degree "
-                f"{max_total_degree} (truncation order {self.order}): "
-                "not a polynomial of the asserted degree, or order too low"
-            )
-        return MultiPoly(self._terms)
-
-    def __str__(self) -> str:
-        return f"{super().__str__()} + O(degree {self.order + 1})"
-
-    def __repr__(self) -> str:
-        return f"TruncSeries({self.terms!r}, order={self.order})"

@@ -458,7 +458,7 @@ def _members(
             tables, tuple(range(1, ct.n + 1)), ct.parts
         ):
             if spec.cval is None or cval == spec.cval:
-                yield Permutation(_word_from_cycles(cycles, spec.n))
+                yield Permutation._trusted(_word_from_cycles(cycles, spec.n))
 
 
 def iter_class(spec: ClassSpec) -> Iterator[Permutation]:

@@ -159,12 +159,6 @@ class VerificationReport:
         return record
 
 
-def _require_integral(p: MultiPoly, context: str) -> MultiPoly:
-    if not p.has_integer_coefficients():
-        raise ArithmeticError(f"{context}: non-integer coefficient in {p}")
-    return p
-
-
 def _times(a: list[int], b: list[int]) -> list[int]:
     """The product in ZZ[X] of two polynomials given as lists of int
     coefficients, lowest degree first."""
@@ -208,8 +202,7 @@ def brenti(ct: CycleType) -> MultiPoly:
     >>> str(brenti(CycleType((3,))))
     't + t^2'
     """
-    product = MultiPoly({(0, j): c for j, c in enumerate(_eulerian_product(ct))})
-    return _require_integral(product, "brenti")
+    return MultiPoly({(0, j): c for j, c in enumerate(_eulerian_product(ct))})
 
 
 @lru_cache(maxsize=None)

@@ -90,9 +90,11 @@ class Permutation:
         a bare instance whose ``word`` slot is stored directly, past the
         frozen ``__setattr__``.
 
-        Only for words the library built from a valid permutation (the
-        hop kernel's relinked images and the orbit walk's members); every
-        outside word goes through the validating constructor.
+        Only for words the library built as permutations: the hop
+        kernel's relinked images, the orbit walk's members and the class
+        walk's members, which the cycle recursion of
+        :mod:`cyclestat.enumeration` builds from disjoint cycles covering
+        [n]. Every outside word goes through the validating constructor.
         """
         self = _new(cls)
         _set_word(self, word)

@@ -114,22 +114,6 @@ CATALOGUE = (
         "formulas must not import private enumeration names",
     ),
     Mutant(
-        "scalar-product-drops-order",
-        "src/cyclestat/algebra.py",
-        "return self._new(\n                {key: value * other",
-        "return MultiPoly(\n                {key: value * other",
-        "killed",
-        "a series times a scalar is a series at the same order",
-    ),
-    Mutant(
-        "extract-s-divides-by-t",
-        "src/cyclestat/algebra.py",
-        "self._divided(1, 0)",
-        "self._divided(0, 1)",
-        "killed",
-        "extract_s_factor divides by s",
-    ),
-    Mutant(
         "gamma-term-exponent",
         "src/cyclestat/algebra.py",
         "_ONE_PLUS_T ** (m - 2 * i)",
@@ -188,24 +172,6 @@ CATALOGUE = (
         "a new double descent comes from a slot just before a peak",
     ),
     Mutant(
-        "sqrt-cross-weight",
-        "src/cyclestat/algebra.py",
-        "self._rational_power(1, 2, 1)",
-        "self._rational_power(-1, 2, 1)",
-        "killed",
-        "the square root weighs f_i g_(d-i) by 3i - 2d, the recurrence's "
-        "weight at p/q = 1/2, not by the i - 2d of p/q = -1/2",
-    ),
-    Mutant(
-        "inverse-one-term-short",
-        "src/cyclestat/algebra.py",
-        "enumerate(f[1 : d + 1], 1)",
-        "enumerate(f[1:d], 1)",
-        "killed",
-        "the degree-d part of a power, inverse or square root sums "
-        "f_i g_(d-i) up to i = d",
-    ),
-    Mutant(
         "brenti-multinomial-no-mult-factorial",
         "src/cyclestat/formulas.py",
         "denominator *= factorial(size) ** mult * factorial(mult)",
@@ -220,14 +186,6 @@ CATALOGUE = (
         "for i in range(m // 2):",
         "killed",
         "a gamma expansion about m/2 has floor(m/2) + 1 terms",
-    ),
-    Mutant(
-        "clean-order-boundary",
-        "src/cyclestat/algebra.py",
-        "if key[0] + key[1] > order:",
-        "if key[0] + key[1] >= order:",
-        "killed",
-        "a series of order d keeps its terms of total degree d",
     ),
     Mutant(
         "verify-failed-check-exit-usage",
@@ -335,32 +293,6 @@ CATALOGUE = (
         "permutations of [d] with j descents: its lowest term is X, not 1",
     ),
     Mutant(
-        "packed-width-order",
-        "src/cyclestat/algebra.py",
-        "width = order + 1",
-        "width = order",
-        "killed",
-        "a term within the order has t-degree up to the order, so the packing "
-        "width must exceed it; a width of order loses the top degree",
-    ),
-    Mutant(
-        "power-recurrence-weight",
-        "src/cyclestat/algebra.py",
-        "(p + q) * i - q * d",
-        "p * i - q * d",
-        "killed",
-        "the Euler operator gives q d c g_d = sum ((p+q) i - q d) f_i g_(d-i)",
-    ),
-    Mutant(
-        "power-recurrence-divisor",
-        "src/cyclestat/algebra.py",
-        "divisor = q * d * c",
-        "divisor = q * d",
-        "killed",
-        "the recurrence divides by d times the constant term, which is 2 in "
-        "the tests' Theorem 6 core and a Fraction in the power tests",
-    ),
-    Mutant(
         "first-difference-order",
         "src/cyclestat/formulas.py",
         "for key in sorted(lhs._terms.keys() | rhs._terms.keys()):",
@@ -435,6 +367,47 @@ CATALOGUE = (
         "killed",
         "the fixed points leave through e^(-x), whose j!-scaled coefficients "
         "alternate in sign; without the signs the rows are e^x J",
+    ),
+    Mutant(
+        "scalar-product-replaces-coefficients",
+        "src/cyclestat/algebra.py",
+        "MultiPoly({key: value * other for key, value in self._terms.items()})",
+        "MultiPoly({key: other for key in self._terms})",
+        "killed",
+        "a polynomial times a scalar scales each coefficient",
+    ),
+    Mutant(
+        "add-drops-right-operand",
+        "src/cyclestat/algebra.py",
+        "terms[key] = terms.get(key, 0) + value\n        return MultiPoly(terms)",
+        "terms[key] = terms.get(key, 0) + value\n        return MultiPoly(self._terms)",
+        "killed",
+        "a sum holds the terms of both operands",
+    ),
+    Mutant(
+        "clean-keeps-zero-terms",
+        "src/cyclestat/algebra.py",
+        "        if value:\n            out[key] = value",
+        "        out[key] = value",
+        "killed",
+        "a polynomial stores no zero term, so a difference that cancels is zero",
+    ),
+    Mutant(
+        "extract-t-accepts-constant",
+        "src/cyclestat/algebra.py",
+        "if any(b < 1 for _, b in self._terms):",
+        "if any(b < 0 for _, b in self._terms):",
+        "killed",
+        "only a polynomial whose every term has a factor t divides by t",
+    ),
+    Mutant(
+        "class-walk-word-drops-a-cycle",
+        "src/cyclestat/enumeration.py",
+        "_word_from_cycles(cycles, spec.n)",
+        "_word_from_cycles(cycles[1:], spec.n)",
+        "killed",
+        "the class walk wraps its members unvalidated, so a word that is no "
+        "permutation (zeros where a cycle's letters belong) must fail a test",
     ),
 )
 

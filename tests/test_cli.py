@@ -327,6 +327,34 @@ class TestVerify:
 
 
 class TestTable:
+    @pytest.mark.parametrize(
+        "argv, lines, digest",
+        [
+            (
+                ("gamma", "--n-max", "8", "--format", "csv"),
+                67,
+                "37bae698921939a61c9c1162ac68d5b12ebd1895486de0d2220df6fc6b90435b",
+            ),
+            (
+                ("gamma", "--n-max", "8", "--format", "json"),
+                66,
+                "8307dddc3bf772f235fa9c59953edbdfc5ab30840369a2f22e1225981ae70dc9",
+            ),
+            (
+                ("snki", "--n-max", "24"),
+                1247,
+                "789fa57e6cd667fd70df80eda38c34adafadf53861a9e03d340bdeae4c0d7e0d",
+            ),
+        ],
+        ids=["gamma-csv", "gamma-json", "snki"],
+    )
+    def test_table_bytes(self, capsys, argv, lines, digest):
+        # SHA-256 of the stdout, pinned like verify's above
+        code, out, _ = run(capsys, "table", *argv)
+        assert code == EXIT_OK
+        assert len(out.splitlines()) == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_eulerian_csv(self, capsys):
         code, out, _ = run(capsys, "table", "eulerian", "--n-max", "4", "--format", "csv")
         assert code == EXIT_OK

@@ -7,7 +7,8 @@ can a new one slip in. So are the fields of
 package exports exactly the names its modules list in ``__all__``;
 ``formulas`` and ``cli`` import no private name of another module, and
 ``hopping`` none of ``enumeration``'s. The retired names stay retired:
-the Foata word and the x-factorization live on only as test oracles."""
+the Foata word, the x-factorization and the truncated series live on
+only as test oracles."""
 import ast
 import dataclasses
 import inspect
@@ -83,14 +84,16 @@ def test_exported_name_is_defined_in_its_module(module, name):
 
 
 # Names the library no longer defines, by the module or class that held
-# them: the Foata word and the w1 w2 x w4 w5 factorization are test
-# oracles now, and the accessors had callers only in the tests.
+# them: the Foata word, the w1 w2 x w4 w5 factorization and the truncated
+# series are test oracles now, the accessors had callers only in the
+# tests, and Brenti's product is integral by construction.
 RETIRED = {
     hopping: ["XFactorization", "x_factorize", "foata", "foata_inverse"],
     permutations: ["left_to_right_maxima"],
-    algebra.MultiPoly: ["total_degree", "coefficient_sum"],
-    algebra.TruncSeries: ["constant_term"],
+    algebra: ["TruncSeries"],
+    algebra.MultiPoly: ["total_degree", "coefficient_sum", "has_integer_coefficients"],
     algebra.GammaExpansion: ["positive", "is_integral"],
+    formulas: ["_require_integral"],
 }
 
 
