@@ -40,14 +40,18 @@ relink kernel is checked against.
 The orbit of a permutation under ``psi`` has size 2^(n - fix - 2*cval)
 and contains exactly one member without cyclic double ascents; ``orbit``
 computes all of this by explicit enumeration, one relink per member, on
-one pair of flat lists. It reads the representative off that walk, at
-the step that has hopped exactly the double ascents, rather than calling
-``psi`` for it. Asked for its members, it sorts the words the walk met
-and wraps each with ``Permutation._trusted``, unvalidated, since each is
-a relinked image of a valid permutation. ``orbit_counts`` takes the same walk one step at a time
-and classifies each distinct member on the live lists as it is met, so
-Lemma 1 counts the orbit by (cval, exc) without building a single
-``Permutation`` of it.
+one pair of flat lists. The walk is a Gray code over the toggle letters
+(the cyclic double ascents and descents), laid out once as a flip list
+of the letter each step hops, and each member's word is kept in walk
+order. The representative is the word at the step that has hopped
+exactly the double ascents, so ``psi`` is not called for it. Asked for
+its members, ``orbit`` orders the Gray bits so that the walk leaves its
+words nearly sorted, sorts them, drops repeats and wraps them all at
+once with ``Permutation._trusted_all``, unvalidated, since each is a
+relinked image of a valid permutation. ``orbit_counts`` takes the same
+walk and classifies each distinct member on the live lists as it is
+met, so Lemma 1 counts the orbit by (cval, exc) without building a
+single ``Permutation`` of it.
 """
 from __future__ import annotations
 
@@ -156,15 +160,26 @@ class OrbitReport:
 
 
 def _start(
-    p: Permutation,
-) -> tuple[list[int], list[int], tuple[list[int], ...], list[int]]:
-    """The start of the orbit walk: p's links, their letter classes and
-    the sorted toggle letters, once the orbit has passed the guardrail."""
+    p: Permutation, decreasing: bool = False
+) -> tuple[list[int], list[int], tuple[list[int], ...], list[int], list[int]]:
+    """The start of the orbit walk: p's links, their letter classes, the
+    toggle letters, increasing or ``decreasing``, and the walk's flip
+    list, built only once the orbit has passed the guardrail."""
     nxt, prv = _links(p.word)
     classes = _link_classes(nxt, prv)
-    toggles = sorted(classes[3] + classes[4])
+    toggles = sorted(classes[3] + classes[4], reverse=decreasing)
     ClassTooLargeError.check(1 << len(toggles), "the orbit of %s", p)
-    return nxt, prv, classes, toggles
+    return nxt, prv, classes, toggles, _flips(toggles)
+
+
+def _flips(toggles: list[int]) -> list[int]:
+    """The letters the Gray-order walk hops, one per step: step j hops
+    ``toggles[i]`` for the lowest set bit i of j, so the first letter
+    flips every other step and the last once."""
+    flips: list[int] = []
+    for x in toggles:
+        flips = flips + [x] + flips
+    return flips
 
 
 def orbit(p: Permutation, collect_members: bool = False) -> OrbitReport:
@@ -172,40 +187,51 @@ def orbit(p: Permutation, collect_members: bool = False) -> OrbitReport:
 
     Only cyclic double ascents and cyclic double descents can move, so the
     orbit is generated by toggling subsets of those letters; the walk
-    below flips one letter at a time (Gray order), relinking one letter of
-    one pair of flat lists in place per member. ``size`` counts the
-    distinct members the walk meets. The letters are classified once,
-    from the same lists before the walk. The representative is read off
-    the walk: the member at step j has toggled the letters of the Gray
-    code j ^ (j >> 1), so the member that has hopped exactly the double
-    ascents of p is met at the step whose Gray code is their mask, and
-    the walk is split there. An orbit of more than ``class_cap()``
+    below takes them in Gray order off one flip list, relinking one
+    letter of one pair of flat lists in place per step, and keeps each
+    step's word in the list ``words``, in walk order. ``size`` counts the
+    distinct words the walk meets. The letters are classified once, from
+    the same lists before the walk. The representative is read off the
+    walk: ``words[j]`` has toggled the letters of the Gray code
+    j ^ (j >> 1), so the member that has hopped exactly the double
+    ascents of p is ``words[at]`` for the step ``at`` whose Gray code is
+    their mask. The members are the distinct words, sorted.
+
+    For them the letters go on the Gray bits in decreasing order. A hop
+    of x first changes the word at x's predecessor in its double-ascent
+    state, a smaller letter, where that state has the smaller entry, x.
+    So the small letters, which change the early entries, go on the
+    rarely flipped high bits; the words leave the walk nearly sorted,
+    and sorting them takes a few comparisons a member. Without members
+    the letters go in increasing order, which makes the hops cheaper: x
+    hops over a run of smaller letters, and the small letters, flipped
+    often, have the shortest runs. An orbit of more than ``class_cap()``
     members raises :class:`~cyclestat.enumeration.ClassTooLargeError`
-    before the walk starts.
+    before the flip list is built.
 
     >>> rep = orbit(Permutation((2, 3, 1)), collect_members=True)
     >>> rep.size, [str(m) for m in rep.members], str(rep.representative)
     (2, ['231', '312'], '312')
     """
-    nxt, prv, (_, cval, _, cdasc, _, fix), toggles = _start(p)
-    walk = 1 << len(toggles)
+    nxt, prv, (_, cval, _, cdasc, _, fix), toggles, flips = _start(
+        p, collect_members
+    )
+    words = [p.word]
+    for x in flips:
+        _relink(nxt, prv, x)
+        words.append(tuple(nxt[1:]))
     rising = set(cdasc)
     at = 0  # the step whose Gray code is the mask of the double ascents
     for bit, x in enumerate(toggles):
         if x in rising:
             at ^= (1 << (bit + 1)) - 1
-    words = {p.word}
-    _walk(nxt, prv, toggles, range(1, at + 1), words)
-    representative = Permutation._trusted(tuple(nxt[1:]))
-    _walk(nxt, prv, toggles, range(at + 1, walk), words)
+    distinct = dict.fromkeys(sorted(words)) if collect_members else set(words)
     return OrbitReport(
-        representative=representative,
-        size=len(words),
+        representative=Permutation._trusted(words[at]),
+        size=len(distinct),
         cval=len(cval),
         fix=len(fix),
-        members=tuple(map(Permutation._trusted, sorted(words)))
-        if collect_members
-        else None,
+        members=Permutation._trusted_all(distinct) if collect_members else None,
     )
 
 
@@ -213,38 +239,28 @@ def orbit_counts(p: Permutation) -> tuple[int, dict[tuple[int, int], int]]:
     """The number of fixed points of p, and the members of its orbit
     counted by (cval, exc).
 
-    The walk is :func:`orbit`'s, taken one step at a time, so that
-    ``orbit``'s own loop pays nothing for the measuring. Each distinct
-    member is classified once, on the links the walk has just relinked,
-    when its word is first met; p itself is classified at the start. So
-    the counts are measured, not derived from the hops, and they total
-    the orbit's size.
+    The walk is :func:`orbit`'s without members, over the same flip
+    list, with a check after each step so that ``orbit``'s own loop pays
+    nothing for the measuring. Each distinct member is classified once,
+    on the links the walk has just relinked, when its word is first met;
+    p itself is classified at the start. So the counts are measured, not
+    derived from the hops, and they total the orbit's size.
 
     >>> orbit_counts(Permutation((2, 3, 1)))
     (0, {(1, 2): 1, (1, 1): 1})
     """
-    nxt, prv, (exc, cval, _, _, _, fix), toggles = _start(p)
+    nxt, prv, (exc, cval, _, _, _, fix), _, flips = _start(p)
     counts = {(len(cval), len(exc)): 1}
     words = {p.word}
-    for step in range(1, 1 << len(toggles)):
+    for x in flips:
+        _relink(nxt, prv, x)
         met = len(words)
-        _walk(nxt, prv, toggles, range(step, step + 1), words)
+        words.add(tuple(nxt[1:]))
         if len(words) > met:
             exc, cval = _link_classes(nxt, prv)[:2]
             key = len(cval), len(exc)
             counts[key] = counts.get(key, 0) + 1
     return len(fix), counts
-
-
-def _walk(
-    nxt: list[int], prv: list[int], toggles: list[int], steps: range, words: set
-) -> None:
-    """Take the Gray-order steps of the orbit walk, adding each member met
-    to ``words``: step j relinks the letter of j's lowest set bit."""
-    for step in steps:
-        bit = (step & -step).bit_length() - 1
-        _relink(nxt, prv, toggles[bit])
-        words.add(tuple(nxt[1:]))
 
 
 def orbit_exc_polynomial(p: Permutation) -> MultiPoly:

@@ -27,7 +27,8 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from itertools import repeat
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 __all__ = [
     "Permutation",
@@ -69,7 +70,8 @@ class Permutation:
     A slotted frozen value: the word is its one field, held in a slot
     with no per-instance ``__dict__``, and two permutations are equal,
     and hash alike, exactly when their words are. The constructor
-    validates its word; :meth:`_trusted` is the one unvalidated path.
+    validates its word; :meth:`_trusted` and its bulk form
+    :meth:`_trusted_all` are the one unvalidated path.
 
     >>> p = Permutation((3, 7, 1, 8, 9, 6, 5, 4, 2))
     >>> p(1), p(9)
@@ -95,10 +97,24 @@ class Permutation:
         walk's members, which the cycle recursion of
         :mod:`cyclestat.enumeration` builds from disjoint cycles covering
         [n]. Every outside word goes through the validating constructor.
+        :meth:`_trusted_all` is the same wrap for many words at once.
         """
         self = _new(cls)
         _set_word(self, word)
         return self
+
+    @classmethod
+    def _trusted_all(
+        cls, words: Collection[tuple[int, ...]]
+    ) -> tuple["Permutation", ...]:
+        """:meth:`_trusted` of each word, in order, and for the same
+        library-built words only: here the orbit walk's members. The
+        allocation and the slot store are mapped over the words in C,
+        with no Python frame per word."""
+        members = tuple(map(_new, repeat(cls, len(words))))
+        for _ in map(_set_word, members, words):
+            pass
+        return members
 
     @property
     def n(self) -> int:

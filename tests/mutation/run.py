@@ -9,12 +9,14 @@ temporary directory, applies the mutant there and runs tier-1 with
 catalogue against the unmutated tree; the working tree is never
 modified.
 
-    python3 tests/mutation/run.py
+    python3 tests/mutation/run.py [NAME ...]
 
+runs the named entries, or every entry when no name is given, and
 prints one line per mutant, with the first test that killed it, then
-the killed, survived and equivalent counts. The exit status is 0 when
-every mutant behaved as the catalogue expects, 1 otherwise. pytest does
-not collect this file, so tier-1 never runs it.
+the killed, survived and equivalent counts. An unknown name stops the
+run before any mutant is tried. The exit status is 0 when every mutant
+behaved as the catalogue expects, 1 otherwise. pytest does not collect
+this file, so tier-1 never runs it.
 """
 from __future__ import annotations
 
@@ -240,10 +242,11 @@ CATALOGUE = (
     Mutant(
         "orbit-size-by-walk",
         "src/cyclestat/hopping.py",
+        "size=len(distinct),",
         "size=len(words),",
-        "size=walk,",
         "killed",
-        "an orbit's size counts the distinct members the walk meets",
+        "an orbit's size counts the distinct members the walk meets, not "
+        "its steps",
     ),
     Mutant(
         "orbit-counts-every-step",
@@ -265,12 +268,8 @@ CATALOGUE = (
     Mutant(
         "orbit-representative-step-early",
         "src/cyclestat/hopping.py",
-        "range(1, at + 1), words)\n"
-        "    representative = Permutation._trusted(tuple(nxt[1:]))\n"
-        "    _walk(nxt, prv, toggles, range(at + 1, walk), words)",
-        "range(1, at), words)\n"
-        "    representative = Permutation._trusted(tuple(nxt[1:]))\n"
-        "    _walk(nxt, prv, toggles, range(at, walk), words)",
+        "representative=Permutation._trusted(words[at]),",
+        "representative=Permutation._trusted(words[at - 1]),",
         "killed",
         "the walk meets the representative at the inverse Gray code of the "
         "double ascents' mask, not a step earlier",
@@ -336,10 +335,20 @@ CATALOGUE = (
     Mutant(
         "orbit-members-unsorted",
         "src/cyclestat/hopping.py",
-        "tuple(map(Permutation._trusted, sorted(words)))",
-        "tuple(map(Permutation._trusted, list(words)))",
+        "dict.fromkeys(sorted(words))",
+        "dict.fromkeys(words)",
         "killed",
-        "an orbit's members are sorted by word, not in set order",
+        "an orbit's members are sorted by word, not in the walk's nearly "
+        "sorted order",
+    ),
+    Mutant(
+        "bulk-wrap-words-misaligned",
+        "src/cyclestat/permutations.py",
+        "for _ in map(_set_word, members, words):",
+        "for _ in map(_set_word, members[::-1], words):",
+        "killed",
+        "the bulk wrap pairs each word with its own member, in order, so the "
+        "members it returns keep the words' order",
     ),
     Mutant(
         "cycle-tables-valley-pattern",
@@ -443,11 +452,16 @@ def run_tier1(root: Path) -> tuple[bool, str | None]:
     return False, match.group(1) if match else f"exit {done.returncode}"
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
+    unknown = sorted(set(names) - {mutant.name for mutant in CATALOGUE})
+    if unknown:
+        raise SystemExit(f"no catalogue entry named {', '.join(unknown)}")
     start = time.perf_counter()
     tally = {"killed": 0, "survived": 0, "equivalent": 0}
     unexpected = 0
     for mutant in CATALOGUE:
+        if names and mutant.name not in names:
+            continue
         with tempfile.TemporaryDirectory(prefix="cyclestat-mutant-") as tmp:
             root = Path(tmp) / "repo"
             shutil.copytree(ROOT, root, ignore=IGNORED)
@@ -472,4 +486,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

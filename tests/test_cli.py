@@ -77,6 +77,29 @@ class TestOrbit:
         code, out, _ = run(capsys, "orbit", "(5,2,1)(6)(8)(11,9,10,4,3,7)")
         assert json.loads(out)["size"] == 8
 
+    @pytest.mark.parametrize(
+        "perm, size, digest",
+        [
+            (
+                "(5,2,1)(6)(8)(11,9,10,4,3,7)",
+                8,
+                "f67f12c1dc8da3ba08e25a856c3803bf52fc18557ff805639c2b305d19d19ade",
+            ),
+            (
+                "5,1,2,3,6,9,4,7,14,8,10,11,12,13",
+                4096,
+                "f6cc603af50475914dce3922d9b021e4d1ddcf1b7802aa5fe2aba368fa95296e",
+            ),
+        ],
+        ids=["running-example", "n14-4096"],
+    )
+    def test_members_bytes(self, capsys, perm, size, digest):
+        # SHA-256 of the stdout, pinned like verify's below
+        code, out, _ = run(capsys, "orbit", perm, "--members")
+        assert code == EXIT_OK
+        assert json.loads(out)["size"] == size
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_orbit_above_class_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("CYCLESTAT_CLASS_CAP", "4")
         code, out, err = run(capsys, "orbit", "(5,2,1)(6)(8)(11,9,10,4,3,7)")

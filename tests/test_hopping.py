@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import random
 from itertools import combinations
 
@@ -323,6 +325,35 @@ class TestOrbit:
             assert cycle_type(m) == cycle_type(p)
 
 
+class TestOrbitBulkWrap:
+    """The members of an n = 14 orbit of 4,096, which ``orbit`` sorts and
+    wraps all at once, unvalidated."""
+
+    P = Permutation((5, 1, 2, 3, 6, 9, 4, 7, 14, 8, 10, 11, 12, 13))
+
+    @pytest.fixture(scope="class")
+    def members(self):
+        return orbit(self.P, collect_members=True).members
+
+    def test_members_are_values(self, members):
+        assert len(members) == 4096
+        for m in members:
+            assert type(m) is Permutation
+            checked = Permutation(m.word)
+            assert m == checked and hash(m) == hash(checked)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                m.word = checked.word
+        assert pickle.loads(pickle.dumps(members)) == members
+
+    def test_members_are_the_sorted_images_over_every_subset(self, members):
+        sets = stat_sets(self.P)
+        toggles = sorted(sets.cdasc_set | sets.cddes_set)
+        words = [m.word for m in members]
+        assert words == sorted(set(words))
+        images = {psi(self.P, S) for S in all_subsets(toggles)}
+        assert len(toggles) == 12 and set(members) == images
+
+
 class TestOrbitCap:
     """The member cap bounds the orbit walk, which must not start when the
     orbit would exceed it."""
@@ -343,6 +374,19 @@ class TestOrbitCap:
         monkeypatch.setattr(hopping, "_relink", self.refuse_relink)
         with pytest.raises(ClassTooLargeError, match=str(2**38)):
             orbit(Permutation((*range(2, 41), 1)))
+
+    def test_guardrail_runs_before_the_flip_list_is_built(self, monkeypatch):
+        # A flip list built first would hold 2^38 letters for the 40-cycle.
+        def refuse_flips(toggles):
+            raise AssertionError("the flip list was built")
+
+        monkeypatch.setattr(hopping, "_flips", refuse_flips)
+        monkeypatch.delenv("CYCLESTAT_CLASS_CAP", raising=False)
+        with pytest.raises(ClassTooLargeError, match=str(2**38)):
+            orbit(Permutation((*range(2, 41), 1)))
+        monkeypatch.setenv("CYCLESTAT_CLASS_CAP", "4")
+        with pytest.raises(ClassTooLargeError, match="8 members"):
+            orbit_counts(parse_permutation("(5,2,1)(6)(8)(11,9,10,4,3,7)"))
 
 
 class TestOrbitCounts:

@@ -99,6 +99,14 @@ class TestValueType:
             map(math.factorial, range(6))
         )
 
+    def test_trusted_all_wraps_each_word_in_order(self):
+        words = [p.word for n in range(6) for p in all_perms(n)]
+        members = Permutation._trusted_all(dict.fromkeys(words))
+        assert type(members) is tuple
+        assert members == tuple(map(Permutation, words))
+        assert all(m.word is w for m, w in zip(members, words))
+        assert all(type(m) is Permutation for m in members)
+
     def test_constructor_stores_a_tuple(self):
         p = Permutation([3, 1, 2])
         assert type(p.word) is tuple and p == Permutation._trusted((3, 1, 2))
