@@ -253,19 +253,13 @@ def _as_poly(value) -> "MultiPoly":
 
 @lru_cache(maxsize=None)
 def _descent_counts(n: int) -> tuple[int, ...]:
-    """Row n of the triangle counting permutations of [n] by descents."""
+    """Row n of the triangle counting permutations of [n] by descents:
+    A(n, j) = (j+1) A(n-1, j) + (n-j) A(n-1, j-1), read off row n - 1
+    padded with a zero at each end."""
     if n == 0:
         return (1,)
-    prev = _descent_counts(n - 1)
-    row = []
-    for j in range(n):
-        here = 0
-        if j < len(prev):
-            here += (j + 1) * prev[j]
-        if j - 1 >= 0 and j - 1 < len(prev):
-            here += (n - j) * prev[j - 1]
-        row.append(here)
-    return tuple(row)
+    prev = (0, *_descent_counts(n - 1), 0)
+    return tuple((j + 1) * prev[j + 1] + (n - j) * prev[j] for j in range(n))
 
 
 @lru_cache(maxsize=None)

@@ -305,7 +305,8 @@ def _iter_cycle_lists(
 
     The smallest available element anchors the next cycle; its size is
     chosen among the distinct remaining sizes, so equal-size cycles come
-    out ordered by anchor and nothing repeats. A completed cycle's
+    out ordered by anchor and nothing repeats; the sizes stay sorted, so
+    a size equal to the one before it is a repeat. A completed cycle's
     statistics are added once and shared by every completion below it,
     and a cycle the tables drop is cut before any completion below it.
 
@@ -319,11 +320,9 @@ def _iter_cycle_lists(
         yield head, cval, exc
         return
     anchor, rest = avail[0], avail[1:]
-    chosen = set()
     for idx, size in enumerate(sizes):
-        if size in chosen:
+        if idx and size == sizes[idx - 1]:
             continue
-        chosen.add(size)
         remaining_sizes = sizes[:idx] + sizes[idx + 1 :]
         if size == 1:
             yield from _iter_cycle_lists(
@@ -372,35 +371,32 @@ def _cycle_counts(m: int) -> dict[tuple[int, int], int]:
     cyclic peak, and only its two neighbours can change class: inserted
     just before a cyclic double ascent or just after a cyclic double
     descent, that letter becomes a valley; just before a peak, the peak
-    becomes a double descent; just after a peak, a double ascent. So an
-    order's state (cpk, cdasc, cddes), where cpk = cval, fixes its
-    cdasc + 2 cpk + cddes = j slots, and the number of slots of each kind
-    weights that move. Read out, exc = cval + cdasc. Callers must not
-    mutate the cached result.
+    becomes a double descent; just after a peak, a double ascent. An
+    order of [j] has cdasc + 2 cpk + cddes = j slots, where cpk = cval,
+    so its state is (cpk, cdasc) and cddes = j - cdasc - 2 cpk is
+    derived; the number of slots of each kind weights that move. Read
+    out, exc = cval + cdasc, one key per state. Callers must not mutate
+    the cached result.
 
     >>> _cycle_counts(3)
     {(1, 1): 1, (1, 2): 1}
     """
     if m == 1:
         return {(0, 0): 1}
-    states = {(1, 0, 0): 1}  # the single cyclic order of [2]
-    for _ in range(m - 2):
-        grown: dict[tuple[int, int, int], int] = {}
-        for (cpk, cdasc, cddes), count in states.items():
+    states = {(1, 0): 1}  # the single cyclic order of [2]
+    for j in range(2, m):
+        grown: dict[tuple[int, int], int] = {}
+        for (cpk, cdasc), count in states.items():
             for key, slots in (
-                ((cpk + 1, cdasc - 1, cddes), cdasc),
-                ((cpk, cdasc, cddes + 1), cpk),
-                ((cpk, cdasc + 1, cddes), cpk),
-                ((cpk + 1, cdasc, cddes - 1), cddes),
+                ((cpk + 1, cdasc - 1), cdasc),
+                ((cpk, cdasc), cpk),
+                ((cpk, cdasc + 1), cpk),
+                ((cpk + 1, cdasc), j - cdasc - 2 * cpk),
             ):
                 if slots:
                     grown[key] = grown.get(key, 0) + count * slots
         states = grown
-    counts: dict[tuple[int, int], int] = {}
-    for (cval, cdasc, _), count in states.items():
-        key = (cval, cval + cdasc)
-        counts[key] = counts.get(key, 0) + count
-    return counts
+    return {(cval, cval + cdasc): count for (cval, cdasc), count in states.items()}
 
 
 def _factorized_counts(ct: CycleType) -> dict[tuple[int, int], int]:

@@ -77,16 +77,16 @@ CATALOGUE = (
     Mutant(
         "theorem2-readings-unchecked",
         "src/cyclestat/formulas.py",
-        "if data.by_no_double_ascent != data.by_orbit_scaling:",
-        "if False:",
+        "(data.by_orbit_scaling, _closed_form_gammas(spec))",
+        "(_closed_form_gammas(spec),)",
         "killed",
         "Theorem 2 requires the two gamma readings to agree",
     ),
     Mutant(
         "theorem2-closed-form-unchecked",
         "src/cyclestat/formulas.py",
-        "if data.by_no_double_ascent != closed_form:",
-        "if False:",
+        "(data.by_orbit_scaling, _closed_form_gammas(spec))",
+        "(data.by_orbit_scaling,)",
         "killed",
         "Theorem 2 requires the no-double-ascent counts to be the Q_a of the "
         "closed form, summed over the spec's classes",
@@ -168,8 +168,8 @@ CATALOGUE = (
     Mutant(
         "cycle-dp-descent-slot",
         "src/cyclestat/enumeration.py",
-        "((cpk, cdasc, cddes + 1), cpk),",
-        "((cpk, cdasc, cddes + 1), cddes),",
+        "((cpk, cdasc), cpk),",
+        "((cpk, cdasc), j - cdasc - 2 * cpk),",
         "killed",
         "a new double descent comes from a slot just before a peak",
     ),
@@ -371,11 +371,20 @@ CATALOGUE = (
     Mutant(
         "egf-exp-minus-x-unsigned",
         "src/cyclestat/formulas.py",
-        "row[i] += (-1) ** (j - m) * comb(j, m) * c",
-        "row[i] += comb(j, m) * c",
+        "[(-1) ** j]",
+        "[1]",
         "killed",
         "the fixed points leave through e^(-x), whose j!-scaled coefficients "
-        "alternate in sign; without the signs the rows are e^x J",
+        "alternate in sign; without the signs the rows solve D d = e^x",
+    ),
+    Mutant(
+        "eulerian-triangle-weights",
+        "src/cyclestat/algebra.py",
+        "(j + 1) * prev[j + 1] + (n - j) * prev[j]",
+        "(n - j) * prev[j + 1] + (j + 1) * prev[j]",
+        "killed",
+        "a permutation of [n - 1] with j descents gives j + 1 of [n] with j "
+        "descents, and one with j - 1 descents gives n - j",
     ),
     Mutant(
         "scalar-product-replaces-coefficients",

@@ -368,8 +368,36 @@ class TestTable:
                 1247,
                 "789fa57e6cd667fd70df80eda38c34adafadf53861a9e03d340bdeae4c0d7e0d",
             ),
+            (
+                ("snki", "--n-max", "30"),
+                2391,
+                "d8afbe8241df96686e2ffcd29677ee3921c5aff26a89503b587ec3bac3879d18",
+            ),
+            (
+                ("snki", "--n-max", "30", "--format", "json"),
+                2390,
+                "cdc1dfe5d4c431ad1bbdcd60780c34f606421c2acb2cfab6fc76b9aebcf56d95",
+            ),
+            (
+                ("eulerian", "--n-max", "40"),
+                42,
+                "7d3b6f360d926b8de2353b331f1b88c16c5e37ed229d4cfc92b3664ebedf6df2",
+            ),
+            (
+                ("eulerian", "--n-max", "40", "--format", "json"),
+                41,
+                "f3be02ac1be5147ecde93a5f04d412a33ea14f38e35cde0a11e7e51a45dc0f5a",
+            ),
         ],
-        ids=["gamma-csv", "gamma-json", "snki"],
+        ids=[
+            "gamma-csv",
+            "gamma-json",
+            "snki",
+            "snki-30",
+            "snki-30-json",
+            "eulerian-40",
+            "eulerian-40-json",
+        ],
     )
     def test_table_bytes(self, capsys, argv, lines, digest):
         # SHA-256 of the stdout, pinned like verify's above

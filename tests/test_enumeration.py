@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from itertools import permutations as raw_permutations
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from cyclestat.algebra import MultiPoly
 from cyclestat.enumeration import (
     DEFAULT_CLASS_CAP,
+    _cycle_counts,
     _cycle_tables,
     ClassSpec,
     ClassTooLargeError,
@@ -360,6 +362,12 @@ class TestOracleAtPublishedScale:
                     word[a - 1] = b
                 word = tuple(word)
                 assert (oracle_cval(word), oracle_exc(word)) == (cval, exc), cycle
+
+    def test_cycle_counts_against_cycle_tables(self):
+        # the insertion recursion of the factorized route, order by order
+        for m in range(1, 10):
+            _, cvals, excs = _cycle_tables(m)
+            assert _cycle_counts(m) == Counter(zip(cvals, excs)), m
 
 
 class TestCountSnki:

@@ -425,6 +425,56 @@ class TestBeyondEnumeration:
                     counted[(n, k, i)] = counted.get((n, k, i), 0) + count
         assert egf_snki(20) == counted
 
+    def test_strata_three_routes_to_twenty(self):
+        """Every (n, k) stratum with n <= 20 by three routes: A, the
+        exponential formula over single-cycle closed forms alone,
+        C(n, k) D_(n-k) with D_m = sum_(j>=2) C(m-1, j-1) C_j D_(m-j) on
+        j!-scaled integers; B, the factorized dist_joint; C, per
+        (n, k, a) cell, Q_a 2^(K-2a) summed over the classes with m_1 = k,
+        against egf_snki. On each stratum, with the counts c_i of its
+        cells read from egf_snki, Corollaries 3 and 4 and Theorem 5's
+        s = 1 form, written out."""
+        cycles = [theorem1_joint(CycleType((j,))) if j > 1 else None for j in range(21)]
+        fixed_point_free = [ONE]
+        for m in range(1, 21):
+            terms = (
+                math.comb(m - 1, j - 1) * cycles[j] * fixed_point_free[m - j]
+                for j in range(2, m + 1)
+            )
+            fixed_point_free.append(sum(terms, MultiPoly()))
+        cells = {}
+        for n in range(1, 21):
+            for ct in partitions_of(n):
+                k, joint = ct.fixed_point_count, theorem1_joint(ct)
+                for a in range((n - k) // 2 + 1):
+                    q = joint.coefficient(a, a) * 2 ** (n - k - 2 * a)
+                    cells[(n, k, a)] = cells.get((n, k, a), 0) + q
+        table = egf_snki(20)
+        assert {cell: count for cell, count in cells.items() if count} == table
+
+        powers = [(1 + T) ** e for e in range(21)]
+        strata = 0
+        for n in range(1, 21):
+            for k in range(n + 1):
+                m = n - k
+                stratum = math.comb(n, k) * fixed_point_free[m]
+                assert stratum == dist_joint(ClassSpec.with_fixed_points(n, k)), (n, k)
+                rows = [stratum.coefficient_of_s(i) for i in range(m // 2 + 1)]
+                exc = sum(rows, MultiPoly())
+                cor3, thm5 = MultiPoly(), MultiPoly()
+                for i, row in enumerate(rows):
+                    count = table.get((n, k, i), 0)
+                    orbits, rest = divmod(count, 2 ** (m - 2 * i))
+                    assert not rest, (n, k, i)
+                    term = T**i * powers[m - 2 * i]
+                    assert row == orbits * term, (n, k, i)
+                    cor3 += orbits * term
+                    thm5 += count * 4**i * term
+                assert exc == cor3, (n, k)
+                assert exc * 2**m == thm5, (n, k)
+                strata += 1
+        assert strata == 230
+
     def test_theorem2_and_corollary2_every_class_to_fourteen(self):
         """Brenti's product read in the gamma basis against the factorized
         members without a cyclic double ascent, and each s^i row of the
@@ -751,7 +801,7 @@ class TestEgf:
             egf_snki(0)
 
     def test_negative_count_raises(self, monkeypatch):
-        """A sign slip in the denominator inverse gives d_1 = -2."""
+        """A sign slip in the product D_m d_(j-m) gives d_1 = -2."""
         times = formulas._times
         monkeypatch.setattr(formulas, "_times", lambda a, b: [-c for c in times(a, b)])
         with pytest.raises(ArithmeticError, match="negative"):
