@@ -19,10 +19,14 @@ Distribution polynomials come by one of two routes, named by the
   under a millisecond.
 * ``"enumerate"``: fold the statistics over the stream of members
   without materializing it, adding each completed cycle's contribution
-  once for the whole subtree of completions. This is the brute-force
-  oracle that every closed form in :mod:`cyclestat.formulas` is checked
-  against, and the only route the member-count guardrail
-  (:func:`class_cap`, set by ``CYCLESTAT_CLASS_CAP``) applies to.
+  once for the whole subtree of completions. The recursion stops at the
+  last cycle longer than 1, after which only fixed points remain, and
+  hands over its letter set as one block; the block's members, one per
+  order of those letters, are still counted one at a time, in C. This
+  is the brute-force oracle that every closed form in
+  :mod:`cyclestat.formulas` is checked against, and the only route the
+  member-count guardrail (:func:`class_cap`, set by
+  ``CYCLESTAT_CLASS_CAP``) applies to.
 
 Sets specified by a fixed-point count k (optionally also by a cyclic
 valley count i) are unions of the conjugacy classes with m_1 = k, and are
@@ -31,6 +35,7 @@ handled that way by both routes.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, compress, permutations
@@ -262,12 +267,14 @@ def _cycle_tables(m: int) -> tuple[bytes, bytes, bytes]:
     descent runs into it and an ascent out: with the ascents of the
     order as a 0/1 string, exc counts its ones and cval its "01"s, which
     cannot overlap. Built from generators straight into ``bytes``: about
-    3 (m-1)! bytes are kept, and no Python object per order.
+    3 (m-1)! bytes are kept, and no Python object per order. A fixed
+    point (m = 1) and the empty cycle (m = 0) of a class of fixed points
+    alone each have one order, with cval = exc = 0.
 
     >>> _cycle_tables(3)
     (b'\\x01\\x01', b'\\x01\\x01', b'\\x02\\x01')
     """
-    if m == 1:
+    if m <= 1:
         return b"\1", b"\0", b"\0"
     ascents = (bytes(map(lt, order, order[1:])) for order in permutations(range(1, m)))
     pairs = bytes(
@@ -297,11 +304,11 @@ def _iter_cycle_lists(
     head: tuple[tuple[int, ...], ...] = (),
     cval: int = 0,
     exc: int = 0,
-) -> Iterator[tuple[tuple[tuple[int, ...], ...], int, int]]:
-    """All ways to arrange ``avail`` into cycles of the given sizes, each
-    with its (cval, exc), appended to the cycles ``head`` already built,
-    keeping a cycle only where ``tables`` (:func:`_cycle_tables` or
-    :func:`_valley_tables`) keeps its order.
+) -> Iterator[tuple[tuple, int, int, tuple[int, ...], tuple[int, ...]]]:
+    """All ways to arrange ``avail`` into cycles of the given sizes,
+    appended to the cycles ``head`` already built, keeping a cycle only
+    where ``tables`` (:func:`_cycle_tables` or :func:`_valley_tables`)
+    keeps its order, in blocks ``(head, cval, exc, cycle, fixed)``.
 
     The smallest available element anchors the next cycle; its size is
     chosen among the distinct remaining sizes, so equal-size cycles come
@@ -310,14 +317,27 @@ def _iter_cycle_lists(
     statistics are added once and shared by every completion below it,
     and a cycle the tables drop is cut before any completion below it.
 
+    The recursion stops at the last cycle longer than 1 after which only
+    fixed points remain. That cycle's letters come out once, as
+    ``cycle``: its anchor, then the other letters in increasing order.
+    ``fixed`` holds the letters left to be fixed points, and ``head``
+    and (cval, exc) are the cycles and statistics of the prefix. The
+    block stands for one member per order of ``cycle[1:]`` that
+    ``tables(len(cycle))`` keeps, in ``permutations`` order, adding
+    that order's (cval, exc). The last long cycle is rarely the last
+    cycle: the smallest free letter anchors each cycle, so a class with
+    fixed points usually ends on one. A class of fixed points alone,
+    n = 0 included, is one block with ``cycle = ()``, read through the
+    one empty order of ``tables(0)``.
+
     The tables are exact: ``others`` comes sorted from ``combinations``
     of the sorted ``avail``, the anchor is below all of them, and cval
     and exc depend only on relative order, so the j-th order of
     ``permutations(others)`` has the statistics of the j-th order of
     1..m-1 after 0.
     """
-    if not avail:
-        yield head, cval, exc
+    if max(sizes, default=1) == 1:
+        yield head, cval, exc, (), avail
         return
     anchor, rest = avail[0], avail[1:]
     for idx, size in enumerate(sizes):
@@ -329,10 +349,14 @@ def _iter_cycle_lists(
                 tables, rest, remaining_sizes, head + ((anchor,),), cval, exc
             )
             continue
+        last = max(remaining_sizes, default=1) == 1
         keep, cvals, excs = tables(size)
         for others in combinations(rest, size - 1):
             others_set = set(others)
             remaining = tuple(e for e in rest if e not in others_set)
+            if last:
+                yield head, cval, exc, (anchor, *others), remaining
+                continue
             for arrangement, d_cval, d_exc in zip(
                 compress(permutations(others), keep), cvals, excs
             ):
@@ -350,15 +374,19 @@ def _iter_cycle_lists(
 def _enumerated_counts(ct: CycleType) -> dict[tuple[int, int], int]:
     """Map (cval, exc) -> member count over the class, member by member.
 
+    Each block of :func:`_iter_cycle_lists` passes one key per order of
+    its last long cycle, the prefix's (cval, exc) plus that order's, to
+    ``Counter.update``, which counts them one at a time in C.
+
     Cached because ``verify`` checks several claims against each class;
     callers must not mutate the result.
     """
-    counts: dict[tuple[int, int], int] = {}
-    for _, cval, exc in _iter_cycle_lists(
+    counts: Counter[tuple[int, int]] = Counter()
+    for _, cval, exc, cycle, _ in _iter_cycle_lists(
         _cycle_tables, tuple(range(1, ct.n + 1)), ct.parts
     ):
-        key = (cval, exc)
-        counts[key] = counts.get(key, 0) + 1
+        _, cvals, excs = _cycle_tables(len(cycle))
+        counts.update(zip(map(cval.__add__, cvals), map(exc.__add__, excs)))
     return counts
 
 
@@ -448,13 +476,34 @@ def _class_counts(spec: ClassSpec, route: str) -> dict[tuple[int, int], int]:
 def _members(
     spec: ClassSpec, tables: Callable[[int], tuple[bytes, bytes, bytes]]
 ) -> Iterator[Permutation]:
+    """The members of the spec whose cycles ``tables`` keeps, in the
+    order of :func:`_iter_cycle_lists`.
+
+    Each block's base word holds the prefix's cycles and the fixed
+    letters; each kept order of the last long cycle is written into it
+    in turn, and the word is copied out as a member.
+    """
     ClassTooLargeError.check(spec.member_bound(), "%s", spec)
     for ct in spec.cycle_types():
-        for cycles, cval, _ in _iter_cycle_lists(
+        for head, cval, _, cycle, fixed in _iter_cycle_lists(
             tables, tuple(range(1, ct.n + 1)), ct.parts
         ):
-            if spec.cval is None or cval == spec.cval:
-                yield Permutation._trusted(_word_from_cycles(cycles, spec.n))
+            base = _word_from_cycles(head + tuple(zip(fixed)), spec.n)
+            if not cycle:  # fixed points alone: the base word is the member
+                yield Permutation._trusted(base)
+                continue
+            keep, cvals, _ = tables(len(cycle))
+            orders = compress(permutations(cycle[1:]), keep)
+            if spec.cval is not None:
+                orders = compress(orders, map((spec.cval - cval).__eq__, cvals))
+            word, anchor = list(base), cycle[0]
+            for order in orders:
+                last = anchor
+                for letter in order:
+                    word[last - 1] = letter
+                    last = letter
+                word[last - 1] = anchor
+                yield Permutation._trusted(tuple(word))
 
 
 def iter_class(spec: ClassSpec) -> Iterator[Permutation]:
@@ -495,9 +544,12 @@ def joint_counts(
     ``route="enumerate"`` splits [n] into cycles member by member, in
     the cycle recursion of :func:`iter_class`, and reads each cycle's
     (cval, exc) from :func:`_cycle_tables`, so it adds every member's
-    statistics one at a time but classifies no member word. It is the
-    oracle the closed forms are checked against, and the only route the
-    :func:`class_cap` guardrail applies to.
+    statistics one at a time but classifies no member word; the members
+    that differ only in the order of the last long cycle are counted by
+    one ``Counter.update`` over that cycle's table (see
+    :func:`_enumerated_counts`). It is the oracle the closed forms are
+    checked against, and the only route the :func:`class_cap`
+    guardrail applies to.
 
     >>> spec = ClassSpec.parse("1,2,2")
     >>> sorted(joint_counts(spec).items())

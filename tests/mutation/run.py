@@ -421,11 +421,29 @@ CATALOGUE = (
     Mutant(
         "class-walk-word-drops-a-cycle",
         "src/cyclestat/enumeration.py",
-        "_word_from_cycles(cycles, spec.n)",
-        "_word_from_cycles(cycles[1:], spec.n)",
+        "_word_from_cycles(head + tuple(zip(fixed)), spec.n)",
+        "_word_from_cycles(head[1:] + tuple(zip(fixed)), spec.n)",
         "killed",
         "the class walk wraps its members unvalidated, so a word that is no "
         "permutation (zeros where a cycle's letters belong) must fail a test",
+    ),
+    Mutant(
+        "block-word-drops-fixed-tail",
+        "src/cyclestat/enumeration.py",
+        "head + tuple(zip(fixed))",
+        "head",
+        "killed",
+        "a block's base word maps each fixed letter after its last long "
+        "cycle to itself; left at 0, the unvalidated member is no permutation",
+    ),
+    Mutant(
+        "block-counts-drop-prefix",
+        "src/cyclestat/enumeration.py",
+        "map(exc.__add__, excs)",
+        "excs",
+        "killed",
+        "each key of a block adds the prefix's excedances to its last long "
+        "cycle's",
     ),
 )
 

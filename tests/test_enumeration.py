@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 from itertools import permutations as raw_permutations
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cyclestat.enumeration as enumeration
 from cyclestat.algebra import MultiPoly
 from cyclestat.enumeration import (
     DEFAULT_CLASS_CAP,
@@ -177,6 +179,23 @@ class TestIterClass:
         # the factorized route visits no members, so the cap does not apply
         assert dist_exc(spec).evaluate(1, 1) == 798336
 
+    def test_guardrail_runs_before_any_table(self, monkeypatch):
+        # A 12-cycle is under the default cap, and its table would keep
+        # 11! orders; a class over the cap is refused before any is built.
+        def refuse(m):
+            raise AssertionError(f"table of {m}-cycles built")
+
+        monkeypatch.setattr(enumeration, "_cycle_tables", refuse)
+        monkeypatch.setattr(enumeration, "_valley_tables", refuse)
+        monkeypatch.setenv("CYCLESTAT_CLASS_CAP", "1000")
+        spec = ClassSpec.parse("12")
+        with pytest.raises(ClassTooLargeError):
+            joint_counts(spec, route="enumerate")
+        with pytest.raises(ClassTooLargeError):
+            next(iter_class(spec))
+        with pytest.raises(ClassTooLargeError):
+            next(orbit_representatives(spec))
+
     def test_guardrail_reads_the_environment(self, monkeypatch):
         spec = ClassSpec.parse("1,2,2")  # 15 members
         monkeypatch.setenv("CYCLESTAT_CLASS_CAP", "10")
@@ -194,6 +213,75 @@ class TestIterClass:
         monkeypatch.setenv("CYCLESTAT_CLASS_CAP", "abc")
         with pytest.raises(ValueError, match="CYCLESTAT_CLASS_CAP"):
             class_cap()
+
+
+class TestClassWalkBlocks:
+    """The walk yields each class's last cycle longer than 1, with only
+    fixed points after it, as one block of orders. Every shape of block
+    against the word-level oracles."""
+
+    def test_order_of_every_class_of_s8_is_pinned(self):
+        # SHA-256 of the member words, class by class in partitions_of
+        # order, so a change to the walk's order shows
+        digest = hashlib.sha256()
+        for ct in partitions_of(8):
+            for p in iter_class(ClassSpec.of_cycle_type(ct)):
+                digest.update(bytes(p.word))
+        assert digest.hexdigest() == (
+            "acfaf993219ab5b6589c0476cafc45c9fdadd58e53f3f9eeaf6c3f6e5d2f4e5f"
+        )
+
+    @staticmethod
+    def shape(word):
+        """(fixed points below, fixed points above) the smallest letter
+        of the cycle longer than 1 whose smallest letter is largest; 0
+        stands for that letter when there is no such cycle."""
+        seen, last = set(), 0
+        for start in range(1, len(word) + 1):
+            letter, size = start, 0
+            while letter not in seen:
+                seen.add(letter)
+                letter, size = word[letter - 1], size + 1
+            if size > 1:
+                last = start
+        fixed = [i for i, a in enumerate(word, start=1) if i == a]
+        return sum(f < last for f in fixed), sum(f > last for f in fixed)
+
+    def test_shapes_every_class_to_seven(self):
+        scanned, ours = Counter(), Counter()
+        for n in range(8):
+            for word in raw_permutations(range(1, n + 1)):
+                key = (oracle_cycle_sizes(word), self.shape(word))
+                scanned[key + (oracle_cval(word), oracle_exc(word))] += 1
+            for ct in partitions_of(n):
+                for p in iter_class(ClassSpec.of_cycle_type(ct)):
+                    key = (oracle_cycle_sizes(p.word), self.shape(p.word))
+                    ours[key + (oracle_cval(p.word), oracle_exc(p.word))] += 1
+        assert ours == scanned
+        shapes = {key[:2] for key in ours}
+        assert ((), (0, 0)) in shapes  # n = 0: one empty member
+        for n in range(1, 8):
+            assert ((1,) * n, (0, n)) in shapes  # fixed points alone
+        for n in range(2, 8):
+            assert ((n,), (0, 0)) in shapes  # one cycle, no fixed point
+        # fixed points before the last long cycle, after it, and both
+        assert {(2, 0), (1, 1), (0, 2)} == {
+            shape for parts, shape in shapes if parts == (1, 1, 3)
+        }
+        assert {(1, 0), (0, 1)} == {shape for parts, shape in shapes if parts == (1, 2, 2)}
+
+    def test_cells_through_iter_class_to_seven(self):
+        for n in range(8):
+            by_cell: dict[tuple[int, int], list] = {}
+            for word in raw_permutations(range(1, n + 1)):
+                by_cell.setdefault((oracle_fix(word), oracle_cval(word)), []).append(word)
+            for k in range(n + 1):
+                stratum = [p.word for p in iter_class(ClassSpec.with_fixed_points(n, k))]
+                for i in range((n - k) // 2 + 1):
+                    spec = ClassSpec.parse(f"n={n},k={k},i={i}")
+                    ours = [p.word for p in iter_class(spec)]
+                    assert ours == [w for w in stratum if oracle_cval(w) == i], spec
+                    assert sorted(ours) == by_cell.get((k, i), []), spec
 
 
 def _specs_to_six():

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -433,7 +434,16 @@ class TestBeyondEnumeration:
         (n, k, a) cell, Q_a 2^(K-2a) summed over the classes with m_1 = k,
         against egf_snki. On each stratum, with the counts c_i of its
         cells read from egf_snki, Corollaries 3 and 4 and Theorem 5's
-        s = 1 form, written out."""
+        s = 1 form, written out; and Theorem 4's cleared identity over
+        the stratum's (cval, exc) counts N,
+
+          sum N t^exc (1+s)^m
+            = sum N (s+t)^(exc-cval) (1+st)^(m-cval-exc) t^cval (1+s)^(2 cval),
+
+        read at t = 2^82, s = t^(m+1). Both sides have s- and t-degree at
+        most m and nonnegative coefficients summing to 2^m times the
+        stratum's size, below 2^82, so s^i t^j lands alone on the base-2^82
+        digit i(m+1) + j: equal readings are equal polynomials."""
         cycles = [theorem1_joint(CycleType((j,))) if j > 1 else None for j in range(21)]
         fixed_point_free = [ONE]
         for m in range(1, 21):
@@ -453,12 +463,29 @@ class TestBeyondEnumeration:
         assert {cell: count for cell, count in cells.items() if count} == table
 
         powers = [(1 + T) ** e for e in range(21)]
+        digit = 2**82
+
+        @lru_cache(maxsize=None)
+        def theorem4_term(m, cval, exc):
+            t, s = digit, digit ** (m + 1)
+            return (
+                (s + t) ** (exc - cval)
+                * (1 + s * t) ** (m - cval - exc)
+                * t**cval
+                * (1 + s) ** (2 * cval)
+            )
+
         strata = 0
         for n in range(1, 21):
             for k in range(n + 1):
                 m = n - k
                 stratum = math.comb(n, k) * fixed_point_free[m]
                 assert stratum == dist_joint(ClassSpec.with_fixed_points(n, k)), (n, k)
+                counts = stratum.terms
+                assert 2**m * sum(counts.values()) < digit
+                lhs = sum(c * digit**exc for (_, exc), c in counts.items())
+                rhs = sum(c * theorem4_term(m, *key) for key, c in counts.items())
+                assert lhs * (1 + digit ** (m + 1)) ** m == rhs, (n, k)
                 rows = [stratum.coefficient_of_s(i) for i in range(m // 2 + 1)]
                 exc = sum(rows, MultiPoly())
                 cor3, thm5 = MultiPoly(), MultiPoly()
