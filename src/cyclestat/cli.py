@@ -16,16 +16,19 @@ Subcommands:
   ``--lambda`` checks that one class and leaves the ``--n-max`` range
   empty, so ``cor3``, ``cor4`` and ``egf`` have no instances: named
   alone they exit 2, and ``verify all --lambda ...`` leaves them out.
-* ``table``  -- machine-readable tables (counts, gamma coefficients,
-  Eulerian coefficients) as CSV or JSON lines; a range with no rows,
-  such as ``table snki --n-max 0``, is reported as an empty table.
+* ``table``  -- machine-readable tables of closed forms (counts,
+  gamma coefficients, Eulerian coefficients) as CSV or JSON lines; a
+  range with no rows, such as ``table snki --n-max 0``, is reported as
+  an empty table. ``table gamma`` prints each class's Q_a, read off
+  Theorem 1 as the coefficients of s^a t^a; ``verify theorem2`` checks
+  them against enumeration.
 
 All numeric output is exact (integers or p/q rationals as text, never
 floats) and deterministically ordered, so identical invocations produce
 byte-identical output. The guardrail applies only to enumeration, so
-``dist`` never trips it while ``verify`` and ``table gamma`` honour it: at
-most 10^8 class members, or ``CYCLESTAT_CLASS_CAP`` when that is set.
-The same cap bounds the orbit that ``orbit`` walks.
+``dist`` and ``table`` never trip it; ``verify`` does, and so does the
+orbit walk of ``orbit``: at most 10^8 members, or
+``CYCLESTAT_CLASS_CAP`` when that is set.
 
 Exit codes: 0 success / all checks passed; 1 at least one check failed;
 2 usage or parse error, a bad ``CYCLESTAT_CLASS_CAP`` (for any command),
@@ -48,7 +51,7 @@ from .enumeration import (
     dist_joint,
     partitions_of,
 )
-from .formulas import CLAIMS, claim_reports, egf_snki, theorem2_gamma
+from .formulas import CLAIMS, claim_reports, egf_snki, theorem1_joint
 from .hopping import orbit
 from .permutations import (
     CycleType,
@@ -161,43 +164,40 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _emit_table(rows: list[dict], fields: list[str], fmt: str) -> int:
-    """Print rows as JSON lines or CSV; an empty table is a usage error."""
+def _emit_table(rows: list[dict], fmt: str) -> int:
+    """Print rows as JSON lines or CSV, headed by the first row's keys;
+    an empty table is a usage error."""
     if not rows:
         raise _BadInput("no table rows in the requested range")
     if fmt == "json":
         for row in rows:
             _print_json(row)
         return EXIT_OK
-    print(",".join(fields))
+    print(",".join(rows[0]))
     for row in rows:
-        print(",".join(_csv_cell(row[f]) for f in fields))
+        print(",".join(map(_csv_cell, row.values())))
     return EXIT_OK
 
 
 def cmd_table(args) -> int:
+    rows = []
     if args.what == "eulerian":
-        rows = []
         for n in range(0, args.n_max + 1):
             poly = eulerian(n)
             coeffs = [int(poly.coefficient(0, j)) for j in range(0, n + 1)]
             rows.append({"n": n, "coefficients": coeffs})
-        return _emit_table(rows, ["n", "coefficients"], args.format)
-    if args.what == "snki":
+    elif args.what == "snki":
         table = egf_snki(args.n_max) if args.n_max >= 1 else {}
-        rows = [
-            {"n": n, "k": k, "i": i, "count": count}
-            for (n, k, i), count in sorted(table.items())
-        ]
-        return _emit_table(rows, ["n", "k", "i", "count"], args.format)
-    # gamma: coefficients of dist_exc about (n-k)/2, one row per partition
-    rows = []
-    for n in range(1, args.n_max + 1):
-        for ct in partitions_of(n):
-            data = theorem2_gamma(ClassSpec.of_cycle_type(ct))
-            gammas = list(data.by_no_double_ascent)
-            rows.append({"lambda": str(ct), "n": n, "gammas": gammas})
-    return _emit_table(rows, ["lambda", "n", "gammas"], args.format)
+        for (n, k, i), count in sorted(table.items()):
+            rows.append({"n": n, "k": k, "i": i, "count": count})
+    else:  # gamma: Theorem 1's Q_a, the coefficients of s^a t^a, per class
+        for n in range(1, args.n_max + 1):
+            for ct in partitions_of(n):
+                joint = theorem1_joint(ct)
+                top = (n - ct.fixed_point_count) // 2
+                gammas = [int(joint.coefficient(a, a)) for a in range(top + 1)]
+                rows.append({"lambda": str(ct), "n": n, "gammas": gammas})
+    return _emit_table(rows, args.format)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -304,11 +304,11 @@ def _iter_cycle_lists(
     head: tuple[tuple[int, ...], ...] = (),
     cval: int = 0,
     exc: int = 0,
-) -> Iterator[tuple[tuple, int, int, tuple[int, ...], tuple[int, ...]]]:
+) -> Iterator[tuple[tuple, int, int, tuple[int, ...]]]:
     """All ways to arrange ``avail`` into cycles of the given sizes,
     appended to the cycles ``head`` already built, keeping a cycle only
     where ``tables`` (:func:`_cycle_tables` or :func:`_valley_tables`)
-    keeps its order, in blocks ``(head, cval, exc, cycle, fixed)``.
+    keeps its order, in blocks ``(head, cval, exc, cycle)``.
 
     The smallest available element anchors the next cycle; its size is
     chosen among the distinct remaining sizes, so equal-size cycles come
@@ -317,18 +317,18 @@ def _iter_cycle_lists(
     statistics are added once and shared by every completion below it,
     and a cycle the tables drop is cut before any completion below it.
 
-    The recursion stops at the last cycle longer than 1 after which only
-    fixed points remain. That cycle's letters come out once, as
-    ``cycle``: its anchor, then the other letters in increasing order.
-    ``fixed`` holds the letters left to be fixed points, and ``head``
-    and (cval, exc) are the cycles and statistics of the prefix. The
-    block stands for one member per order of ``cycle[1:]`` that
-    ``tables(len(cycle))`` keeps, in ``permutations`` order, adding
-    that order's (cval, exc). The last long cycle is rarely the last
-    cycle: the smallest free letter anchors each cycle, so a class with
-    fixed points usually ends on one. A class of fixed points alone,
-    n = 0 included, is one block with ``cycle = ()``, read through the
-    one empty order of ``tables(0)``.
+    Fixed points are left out of ``head``: a letter in no cycle of a
+    block is fixed. The recursion stops at the last cycle longer than 1
+    after which only fixed points remain. That cycle's letters come out
+    once, as ``cycle``: its anchor, then the other letters in increasing
+    order. ``head`` and (cval, exc) are the long cycles and statistics
+    of the prefix. The block stands for one member per order of
+    ``cycle[1:]`` that ``tables(len(cycle))`` keeps, in ``permutations``
+    order, adding that order's (cval, exc). The last long cycle is
+    rarely the last cycle: the smallest free letter anchors each cycle,
+    so a class with fixed points usually ends on one. A class of fixed
+    points alone, n = 0 included, is one block with ``cycle = ()``, read
+    through the one empty order of ``tables(0)``.
 
     The tables are exact: ``others`` comes sorted from ``combinations``
     of the sorted ``avail``, the anchor is below all of them, and cval
@@ -337,7 +337,7 @@ def _iter_cycle_lists(
     1..m-1 after 0.
     """
     if max(sizes, default=1) == 1:
-        yield head, cval, exc, (), avail
+        yield head, cval, exc, ()
         return
     anchor, rest = avail[0], avail[1:]
     for idx, size in enumerate(sizes):
@@ -345,18 +345,16 @@ def _iter_cycle_lists(
             continue
         remaining_sizes = sizes[:idx] + sizes[idx + 1 :]
         if size == 1:
-            yield from _iter_cycle_lists(
-                tables, rest, remaining_sizes, head + ((anchor,),), cval, exc
-            )
+            yield from _iter_cycle_lists(tables, rest, remaining_sizes, head, cval, exc)
             continue
         last = max(remaining_sizes, default=1) == 1
         keep, cvals, excs = tables(size)
         for others in combinations(rest, size - 1):
+            if last:
+                yield head, cval, exc, (anchor, *others)
+                continue
             others_set = set(others)
             remaining = tuple(e for e in rest if e not in others_set)
-            if last:
-                yield head, cval, exc, (anchor, *others), remaining
-                continue
             for arrangement, d_cval, d_exc in zip(
                 compress(permutations(others), keep), cvals, excs
             ):
@@ -382,7 +380,7 @@ def _enumerated_counts(ct: CycleType) -> dict[tuple[int, int], int]:
     callers must not mutate the result.
     """
     counts: Counter[tuple[int, int]] = Counter()
-    for _, cval, exc, cycle, _ in _iter_cycle_lists(
+    for _, cval, exc, cycle in _iter_cycle_lists(
         _cycle_tables, tuple(range(1, ct.n + 1)), ct.parts
     ):
         _, cvals, excs = _cycle_tables(len(cycle))
@@ -479,16 +477,16 @@ def _members(
     """The members of the spec whose cycles ``tables`` keeps, in the
     order of :func:`_iter_cycle_lists`.
 
-    Each block's base word holds the prefix's cycles and the fixed
-    letters; each kept order of the last long cycle is written into it
-    in turn, and the word is copied out as a member.
+    Each block's base word holds the prefix's long cycles and fixes
+    every other letter; each kept order of the last long cycle is
+    written into it in turn, and the word is copied out as a member.
     """
     ClassTooLargeError.check(spec.member_bound(), "%s", spec)
     for ct in spec.cycle_types():
-        for head, cval, _, cycle, fixed in _iter_cycle_lists(
+        for head, cval, _, cycle in _iter_cycle_lists(
             tables, tuple(range(1, ct.n + 1)), ct.parts
         ):
-            base = _word_from_cycles(head + tuple(zip(fixed)), spec.n)
+            base = _word_from_cycles(head, spec.n)
             if not cycle:  # fixed points alone: the base word is the member
                 yield Permutation._trusted(base)
                 continue

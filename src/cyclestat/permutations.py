@@ -313,7 +313,9 @@ def to_cycle_form(p: Permutation) -> CycleForm:
 def _word_from_cycles(
     cycles: Iterable[Sequence[int]], n: int
 ) -> tuple[int, ...]:
-    word = [0] * n
+    """The word of length n with the given disjoint cycles; a letter in
+    no cycle is a fixed point."""
+    word = list(range(1, n + 1))
     for cycle in cycles:
         for a, b in zip(cycle, cycle[1:]):
             word[a - 1] = b

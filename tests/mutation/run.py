@@ -108,6 +108,14 @@ CATALOGUE = (
         "table snki --n-max 0 is an empty table, not a traceback",
     ),
     Mutant(
+        "table-gamma-reads-q-late",
+        "src/cyclestat/cli.py",
+        "joint.coefficient(a, a)",
+        "joint.coefficient(a + 1, a + 1)",
+        "killed",
+        "table gamma publishes Q_a, the coefficient of s^a t^a in Theorem 1",
+    ),
+    Mutant(
         "formulas-private-import",
         "src/cyclestat/formulas.py",
         "from .enumeration import (\n",
@@ -421,20 +429,20 @@ CATALOGUE = (
     Mutant(
         "class-walk-word-drops-a-cycle",
         "src/cyclestat/enumeration.py",
-        "_word_from_cycles(head + tuple(zip(fixed)), spec.n)",
-        "_word_from_cycles(head[1:] + tuple(zip(fixed)), spec.n)",
+        "_word_from_cycles(head, spec.n)",
+        "_word_from_cycles(head[1:], spec.n)",
         "killed",
         "the class walk wraps its members unvalidated, so a word that is no "
         "permutation (zeros where a cycle's letters belong) must fail a test",
     ),
     Mutant(
         "block-word-drops-fixed-tail",
-        "src/cyclestat/enumeration.py",
-        "head + tuple(zip(fixed))",
-        "head",
+        "src/cyclestat/permutations.py",
+        "word = list(range(1, n + 1))",
+        "word = [0] * n",
         "killed",
-        "a block's base word maps each fixed letter after its last long "
-        "cycle to itself; left at 0, the unvalidated member is no permutation",
+        "a block's base word maps each letter in no long cycle to itself; "
+        "left at 0, the unvalidated member is no permutation",
     ),
     Mutant(
         "block-counts-drop-prefix",

@@ -1,12 +1,15 @@
 import argparse
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
 import cyclestat.cli
+import cyclestat.enumeration
 import cyclestat.formulas
+from cyclestat import ClassSpec, CycleType, dist_exc, gamma_expand, theorem1_joint
 from cyclestat.algebra import GammaExpansion, MultiPoly
 from cyclestat.cli import (
     EXIT_FAIL,
@@ -17,6 +20,10 @@ from cyclestat.cli import (
     main,
 )
 from cyclestat.formulas import CLAIMS
+
+
+# SHA-256 of ``table gamma --n-max 9``, as the enumerated table printed it
+GAMMA_9_CSV = "b1e989a49c62d11c5af8b03fba68eaa7fd841b46c25bb272cc906835587eee0b"
 
 
 def run(capsys, *argv):
@@ -174,13 +181,12 @@ class TestDist:
                 ("verify", claim, "--n-max", "5")
                 for claim in ("lemma1", "cor3", "cor4", "egf")
             ),
-            ("table", "gamma", "--n-max", "5"),
         ],
         ids=lambda argv: "-".join(argv[:2]),
     )
     def test_guardrail_distinct_exit(self, capsys, monkeypatch, argv):
-        # every enumeration in verify and table gamma honours the cap;
-        # (1,2,2) has 15 members and (5) has 24
+        # every enumeration in verify honours the cap; (1,2,2) has 15
+        # members and (5) has 24
         monkeypatch.setenv("CYCLESTAT_CLASS_CAP", "10")
         code, _, err = run(capsys, *argv)
         assert code == EXIT_TOO_LARGE
@@ -364,6 +370,11 @@ class TestTable:
                 "8307dddc3bf772f235fa9c59953edbdfc5ab30840369a2f22e1225981ae70dc9",
             ),
             (
+                ("gamma", "--n-max", "16"),
+                915,
+                "0cc18ad3ec9d3cd96c98f159ab5a53325ac1b18ab133a4bddde691d2071f48df",
+            ),
+            (
                 ("snki", "--n-max", "24"),
                 1247,
                 "789fa57e6cd667fd70df80eda38c34adafadf53861a9e03d340bdeae4c0d7e0d",
@@ -392,6 +403,7 @@ class TestTable:
         ids=[
             "gamma-csv",
             "gamma-json",
+            "gamma-16",
             "snki",
             "snki-30",
             "snki-30-json",
@@ -475,3 +487,91 @@ class TestTable:
         rows = {r["lambda"]: r["gammas"] for r in map(json.loads, out.splitlines())}
         assert rows["(3)"] == [0, 1]
         assert rows["(1,1,1)"] == [1]
+
+    def test_gamma_ignores_class_cap(self, capsys, monkeypatch):
+        # the table reads Theorem 1's closed form and enumerates no class
+        code, uncapped, _ = run(capsys, "table", "gamma", "--n-max", "5")
+        assert code == EXIT_OK
+        monkeypatch.setenv("CYCLESTAT_CLASS_CAP", "0")
+        code, capped, err = run(capsys, "table", "gamma", "--n-max", "5")
+        assert code == EXIT_OK and not err
+        assert capped == uncapped
+
+    def test_gamma_enters_no_enumeration(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("table gamma entered the enumeration")
+
+        monkeypatch.setattr(cyclestat.enumeration, "_iter_cycle_lists", refuse)
+        monkeypatch.setattr(cyclestat.enumeration, "_enumerated_counts", refuse)
+        code, out, _ = run(capsys, "table", "gamma", "--n-max", "9")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == GAMMA_9_CSV
+
+    def test_gamma_sixteen_by_the_gamma_expansion(self, capsys):
+        """The pinned ``table gamma --n-max 16`` by a second route: each
+        class's factorized dist_exc, expanded about (n - m_1)/2. Its rows
+        with n <= 9 are the table as enumeration printed it."""
+        code, out, _ = run(capsys, "table", "gamma", "--n-max", "16", "--format", "json")
+        assert code == EXIT_OK
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert len(rows) == 914
+        for row in rows:
+            ct = CycleType.from_text(row["lambda"])
+            assert row["n"] == ct.n
+            exc = dist_exc(ClassSpec.of_cycle_type(ct))
+            expansion = gamma_expand(exc, ct.n - ct.fixed_point_count)
+            assert row["gammas"] == list(expansion.gammas), row["lambda"]
+        _, out, _ = run(capsys, "table", "gamma", "--n-max", "16")
+        lines = out.splitlines(keepends=True)
+        assert lines[97].startswith('"(10)",10,')
+        assert hashlib.sha256("".join(lines[:97]).encode()).hexdigest() == GAMMA_9_CSV
+
+    def test_snki_thirty_by_the_exponential_formula(self, capsys):
+        """The pinned ``table snki --n-max 30`` by a second route. With c_j
+        the cval counts of the j-cycles, read off theorem1_joint((j,)),
+        d_m = sum_(j>=2) C(m-1, j-1) c_j d_(m-j) counts the fixed-point-free
+        permutations of [m] by cval (the exponential formula: the anchor's
+        cycle has j letters), and cell (n, k, i) is C(n, k) [s^i] d_(n-k)."""
+        cycles = {}
+        for j in range(2, 31):
+            counts = [0] * (j // 2 + 1)
+            for (i, _), count in theorem1_joint(CycleType((j,))).terms.items():
+                counts[i] += int(count)
+            cycles[j] = counts
+        free = [[1]]
+        for m in range(1, 31):
+            row = [0] * (m // 2 + 1)
+            for j in range(2, m + 1):
+                scale = math.comb(m - 1, j - 1)
+                for a, x in enumerate(cycles[j]):
+                    for b, y in enumerate(free[m - j]):
+                        row[a + b] += scale * x * y
+            free.append(row)
+        expected = {
+            (n, k, i): math.comb(n, k) * count
+            for n in range(1, 31)
+            for k in range(n + 1)
+            for i, count in enumerate(free[n - k])
+            if count
+        }
+        code, out, _ = run(capsys, "table", "snki", "--n-max", "30", "--format", "json")
+        assert code == EXIT_OK
+        published = {
+            (r["n"], r["k"], r["i"]): r["count"] for r in map(json.loads, out.splitlines())
+        }
+        assert published == expected
+
+    def test_eulerian_forty_by_the_alternating_sum(self, capsys):
+        # The pinned ``table eulerian --n-max 40`` by the explicit formula:
+        # the coefficient of t^k in A_n(t) is sum_(j<=k) (-1)^j C(n+1, j) (k-j)^n.
+        code, out, _ = run(capsys, "table", "eulerian", "--n-max", "40", "--format", "json")
+        assert code == EXIT_OK
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert [row["n"] for row in rows] == list(range(41))
+        for row in rows:
+            n = row["n"]
+            expected = [
+                sum((-1) ** j * math.comb(n + 1, j) * (k - j) ** n for j in range(k + 1))
+                for k in range(n + 1)
+            ]
+            assert row["coefficients"] == expected, n
