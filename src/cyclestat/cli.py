@@ -117,10 +117,13 @@ def cmd_orbit(args) -> int:
     return EXIT_OK
 
 
+# ``dist --stat``: each choice, in help order, with the distribution it prints.
+_DIST_STATS = {"exc": dist_exc, "cval": dist_cval, "joint": dist_joint}
+
+
 def cmd_dist(args) -> int:
     spec = _parse(ClassSpec.parse, args.spec)
-    compute = {"exc": dist_exc, "cval": dist_cval, "joint": dist_joint}[args.stat]
-    print(compute(spec))
+    print(_DIST_STATS[args.stat](spec))
     return EXIT_OK
 
 
@@ -219,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dist = sub.add_parser("dist", help="distribution polynomial over a class")
     p_dist.add_argument("spec", help="partition '1,5,5' / '1^1 5^2', or 'n=..,k=..[,i=..]'")
-    p_dist.add_argument("--stat", choices=("exc", "cval", "joint"), default="exc")
+    p_dist.add_argument("--stat", choices=tuple(_DIST_STATS), default="exc")
     p_dist.set_defaults(func=cmd_dist)
 
     p_verify = sub.add_parser("verify", help="check identities over a range")

@@ -67,7 +67,9 @@ classes with n <= 16 and 6.3 MiB for all 7,338 classes with n <= 24
 
 Claim identifiers (``CLAIMS``: "brenti", "theorem1", "cor3", ...) are the
 stable vocabulary of reports and of the command-line ``verify``
-subcommand; ``claim_reports`` yields each claim's reports over its range.
+subcommand. One table declares each claim's instances and check, one
+row per claim, and ``CLAIMS`` is read off it; ``claim_reports`` looks up
+a claim's row and yields its reports over its range.
 """
 from __future__ import annotations
 
@@ -566,69 +568,95 @@ def egf_snki(n_max: int) -> dict[tuple[int, int, int], int]:
     }
 
 
-CLAIMS = (
-    "brenti",
-    "theorem1",
-    "lemma1",
-    "theorem2",
-    "theorem4",
-    "theorem5",
-    "theorem6",
-    "cor2",
-    "cor3",
-    "cor4",
-    "egf",
-)
+def _classes(n_max: int, lambdas: list[CycleType]):
+    """The class of each cycle type in ``lambdas``, as a spec."""
+    return map(ClassSpec.of_cycle_type, lambdas)
+
+
+def _orbits(n_max: int, lambdas: list[CycleType]):
+    """One representative per orbit of each class but the empty one."""
+    for spec in _classes(n_max, lambdas):
+        if spec.n:
+            yield from orbit_representatives(spec)
+
+
+def _lengths(n_max: int, lambdas: list[CycleType]):
+    """n = 1, ..., n_max."""
+    return range(1, n_max + 1)
+
+
+def _strata(n_max: int, lambdas: list[CycleType]):
+    """The (n, k) strata with 1 <= n <= n_max."""
+    return [(n, k) for n in _lengths(n_max, lambdas) for k in range(n + 1)]
+
+
+def _classes_then_strata(n_max: int, lambdas: list[CycleType]):
+    """The classes, then the strata, as specs."""
+    yield from _classes(n_max, lambdas)
+    for n, k in _strata(n_max, lambdas):
+        yield ClassSpec.with_fixed_points(n, k)
+
+
+def _cells(n_max: int, lambdas: list[CycleType]):
+    """The (n, k, i) cells with 1 <= n <= n_max."""
+    return [(n, k, i) for n, k in _strata(n_max, lambdas) for i in range((n - k) // 2 + 1)]
+
+
+def _closed_form_row(claim: str, closed_form, enumerated):
+    """The row of a claim that ``closed_form`` of each class equals the
+    distribution ``enumerated`` over its members."""
+
+    def check(spec: ClassSpec) -> VerificationReport:
+        lhs = closed_form(spec.cycle_type)
+        rhs = enumerated(spec, route="enumerate")
+        return VerificationReport(claim, spec.instance(), lhs=lhs, rhs=rhs)
+
+    return _classes, check
+
+
+def _egf_check(n: int) -> VerificationReport:
+    """Row n of :func:`egf_snki` against the enumerated counts, each
+    (k, i) cell of S_n at the monomial s^k t^i."""
+    table = egf_snki(n)
+    cells = [cell for cell in _cells(n, []) if cell[0] == n]
+    lhs = {cell[1:]: table.get(cell, 0) for cell in cells}
+    rhs = {cell[1:]: count_snki(*cell, route="enumerate") for cell in cells}
+    return VerificationReport("egf", {"n": n}, MultiPoly(lhs), MultiPoly(rhs))
+
+
+def _claim_table() -> dict:
+    """Each claim, in report order, with its row: the function of
+    (n_max, lambdas) that lists its instances, and the check that turns
+    one instance into a report. Built per call, so each row reads this
+    module's names as they are when the claim runs."""
+    return {
+        "brenti": _closed_form_row("brenti", brenti, dist_exc),
+        "theorem1": _closed_form_row("theorem1", theorem1_joint, dist_joint),
+        "lemma1": (_orbits, lemma1_check),
+        "theorem2": (_classes_then_strata, theorem2_check),
+        "theorem4": (_classes_then_strata, theorem4_check),
+        "theorem5": (_classes_then_strata, theorem5_check),
+        "theorem6": _closed_form_row("theorem6", theorem6_cval, dist_cval),
+        "cor2": (lambda n_max, lambdas: lambdas, corollary2_check),
+        "cor3": (_strata, lambda stratum: corollary3_check(*stratum)),
+        "cor4": (_cells, lambda cell: corollary4_check(*cell)),
+        "egf": (_lengths, _egf_check),
+    }
+
+
+CLAIMS = tuple(_claim_table())
 
 
 def claim_reports(claim: str, n_max: int, lambdas: list[CycleType]):
-    """Yield one VerificationReport per checked instance of the claim: per
-    class of ``lambdas`` or, for ``lemma1``, per orbit of each class of
-    ``lambdas`` but the empty one; per (n, k) stratum or (n, k, i) cell,
-    or per n, with 1 <= n <= n_max. Raises ValueError for an unknown claim.
+    """An iterator of one VerificationReport per checked instance of the
+    claim, each made when it is reached, as the claim's row of one table
+    declares them: per class of ``lambdas`` or, for ``lemma1``, per orbit
+    of each class of ``lambdas`` but the empty one; per (n, k) stratum or
+    (n, k, i) cell, or per n, with 1 <= n <= n_max. Raises ValueError for
+    an unknown claim.
     """
-    specs = [ClassSpec.of_cycle_type(ct) for ct in lambdas]
-    strata = [(n, k) for n in range(1, n_max + 1) for k in range(n + 1)]
-    if claim in ("brenti", "theorem1", "theorem6"):
-        closed_form, enumerated = {
-            "brenti": (brenti, dist_exc),
-            "theorem1": (theorem1_joint, dist_joint),
-            "theorem6": (theorem6_cval, dist_cval),
-        }[claim]
-        for spec in specs:
-            lhs = closed_form(spec.cycle_type)
-            rhs = enumerated(spec, route="enumerate")
-            yield VerificationReport(claim, spec.instance(), lhs=lhs, rhs=rhs)
-    elif claim == "cor2":
-        yield from map(corollary2_check, lambdas)
-    elif claim == "lemma1":
-        for spec in specs:
-            if spec.n:
-                yield from map(lemma1_check, orbit_representatives(spec))
-    elif claim in ("theorem2", "theorem4", "theorem5"):
-        check = {
-            "theorem2": theorem2_check,
-            "theorem4": theorem4_check,
-            "theorem5": theorem5_check,
-        }[claim]
-        yield from map(check, specs)
-        for n, k in strata:
-            yield check(ClassSpec.with_fixed_points(n, k))
-    elif claim == "cor3":
-        for n, k in strata:
-            yield corollary3_check(n, k)
-    elif claim == "cor4":
-        for n, k in strata:
-            for i in range(0, (n - k) // 2 + 1):
-                yield corollary4_check(n, k, i)
-    elif claim == "egf":
-        if n_max < 1:
-            return
-        table = egf_snki(n_max)
-        for n in range(1, n_max + 1):
-            cells = [(k, i) for k in range(n + 1) for i in range((n - k) // 2 + 1)]
-            lhs = {(k, i): table.get((n, k, i), 0) for k, i in cells}
-            rhs = {(k, i): count_snki(n, k, i, route="enumerate") for k, i in cells}
-            yield VerificationReport("egf", {"n": n}, MultiPoly(lhs), MultiPoly(rhs))
-    else:
+    table = _claim_table()
+    if claim not in table:
         raise ValueError(f"unknown claim {claim!r}")
+    instances, check = table[claim]
+    return map(check, instances(n_max, lambdas))

@@ -453,6 +453,31 @@ CATALOGUE = (
         "each key of a block adds the prefix's excedances to its last long "
         "cycle's",
     ),
+    Mutant(
+        "claim-row-theorem5-drops-strata",
+        "src/cyclestat/formulas.py",
+        '"theorem5": (_classes_then_strata, theorem5_check),',
+        '"theorem5": (_classes, theorem5_check),',
+        "killed",
+        "Theorem 5 is checked on each class and then on each (n, k) stratum",
+    ),
+    Mutant(
+        "claim-cells-one-short",
+        "src/cyclestat/formulas.py",
+        "for i in range((n - k) // 2 + 1)]",
+        "for i in range((n - k) // 2)]",
+        "killed",
+        "a stratum of n letters with k fixed points has cells i = 0, ..., "
+        "(n - k) // 2, so the largest valley count is checked too",
+    ),
+    Mutant(
+        "claim-row-egf-from-two",
+        "src/cyclestat/formulas.py",
+        '"egf": (_lengths, _egf_check),',
+        '"egf": (lambda n_max, lambdas: range(2, n_max + 1), _egf_check),',
+        "killed",
+        "the EGF table is checked from n = 1",
+    ),
 )
 
 FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)

@@ -255,6 +255,8 @@ class TestVerify:
         (commands,) = [a for a in build_parser()._actions if isinstance(a, subparsers)]
         (claim,) = [a for a in commands.choices["verify"]._actions if a.dest == "claim"]
         assert set(claim.choices) == set(CLAIMS) | {"all"}
+        (stat,) = [a for a in commands.choices["dist"]._actions if a.dest == "stat"]
+        assert stat.choices == tuple(cyclestat.cli._DIST_STATS) == ("exc", "cval", "joint")
 
     def test_unknown_claim_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

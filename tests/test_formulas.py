@@ -876,6 +876,43 @@ class TestClaimCatalogue:
         with pytest.raises(ValueError, match="theorem99"):
             list(claim_reports("theorem99", 4, []))
 
+    # The one name of ``formulas`` each claim's row calls: a closed form,
+    # a check function or the EGF table.
+    ROW_NAMES = {
+        "brenti": "brenti",
+        "theorem1": "theorem1_joint",
+        "lemma1": "lemma1_check",
+        "theorem2": "theorem2_check",
+        "theorem4": "theorem4_check",
+        "theorem5": "theorem5_check",
+        "theorem6": "theorem6_cval",
+        "cor2": "corollary2_check",
+        "cor3": "corollary3_check",
+        "cor4": "corollary4_check",
+        "egf": "egf_snki",
+    }
+
+    @pytest.mark.parametrize("claim", CLAIMS)
+    def test_each_row_reads_its_name_when_it_runs(self, claim, monkeypatch):
+        name = self.ROW_NAMES[claim]
+        real = getattr(formulas, name)
+        if name == "egf_snki":
+            # no fixed-point-free permutation is without a cyclic valley
+            def stub(n_max):
+                return {**real(n_max), (n_max, 0, 0): 1}
+
+        elif name.endswith("_check"):
+            def stub(*instance):
+                return VerificationReport(claim, {}, MultiPoly.one(), MultiPoly.zero())
+
+        else:
+            def stub(ct):
+                return real(ct) + MultiPoly.monomial(2, 3)
+
+        monkeypatch.setattr(formulas, name, stub)
+        lambdas = [ct for n in range(0, 4) for ct in partitions_of(n)]
+        assert not all(report.passed for report in claim_reports(claim, 3, lambdas))
+
 
 class TestMixedFixedPointControl:
     """Hop-invariant sets mixing fixed-point counts need not be
