@@ -66,6 +66,20 @@ def _clean(terms: Mapping[Exponents, Scalar]) -> dict[Exponents, Scalar]:
     return out
 
 
+def _convolve(a: Mapping[Exponents, Scalar], b: Mapping[Exponents, Scalar]) -> dict:
+    """The product of two maps (deg_s, deg_t) -> coefficient, as a fresh
+    dict: exponents add and coefficients multiply. A sum that cancels
+    stays as a zero term; ``MultiPoly`` cleans its products, and the
+    positive counts of :mod:`cyclestat.enumeration` never cancel."""
+    out: dict[Exponents, Scalar] = {}
+    get, b_items = out.get, b.items()
+    for (i, j), x in a.items():
+        for (k, l), y in b_items:
+            key = (i + k, j + l)
+            out[key] = get(key, 0) + x * y
+    return out
+
+
 class MultiPoly:
     """Sparse exact polynomial in s and t.
 
@@ -170,13 +184,7 @@ class MultiPoly:
             return MultiPoly({key: value * other for key, value in self._terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        terms: dict[Exponents, Scalar] = {}
-        get = terms.get
-        for (i, j), x in self._terms.items():
-            for (k, l), y in other._terms.items():
-                key = (i + k, j + l)
-                terms[key] = get(key, 0) + x * y
-        return MultiPoly(terms)
+        return MultiPoly(_convolve(self._terms, other._terms))
 
     __rmul__ = __mul__
 

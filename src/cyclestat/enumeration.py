@@ -15,8 +15,10 @@ Distribution polynomials come by one of two routes, named by the
   inside its own cycle, so the joint (cval, exc) polynomial of a class is
   n!/prod_i(i!^(m_i) m_i!) * prod_i C_i(s,t)^(m_i), where C_i is the
   distribution over the cyclic orders of [i], computed by an O(i^3)
-  insertion recursion. The 798,336-member class (1,5,5) takes well
-  under a millisecond.
+  insertion recursion. Each power C_i^m is built once per process,
+  upward from the highest power kept below it, and shared by every
+  class, stratum and cell; C_1 = 1 and C_2 = st cost no product. The
+  798,336-member class (1,5,5) takes well under a millisecond.
 * ``"enumerate"``: fold the statistics over the stream of members
   without materializing it, adding each completed cycle's contribution
   once for the whole subtree of completions. The recursion stops at the
@@ -39,11 +41,11 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, compress, permutations
-from math import factorial
+from math import factorial, prod
 from operator import lt
 from typing import Callable, Iterator
 
-from .algebra import MultiPoly
+from .algebra import MultiPoly, _convolve
 from .permutations import CycleType, Permutation, _word_from_cycles
 
 __all__ = [
@@ -425,6 +427,36 @@ def _cycle_counts(m: int) -> dict[tuple[int, int], int]:
     return {(cval, cval + cdasc): count for (cval, cdasc), count in states.items()}
 
 
+@lru_cache(maxsize=None)
+def _cycle_powers(size: int) -> dict[int, dict[tuple[int, int], int]]:
+    """Map m -> C^m for C = :func:`_cycle_counts` (size), over m = 0 and
+    the powers :func:`_cycle_power` was asked for so far. A power, once
+    added, never changes."""
+    return {0: {(0, 0): 1}}
+
+
+def _cycle_power(size: int, mult: int) -> dict[tuple[int, int], int]:
+    """C^mult for C = :func:`_cycle_counts` (size), built once per
+    process and shared by every class, stratum and cell that needs it.
+
+    A missing power is built upward from the highest one kept below it,
+    one factor C at a time, in a loop: repeated squaring was measured
+    slower on powers that spread over both variables, and recursion
+    would limit mult. Only the powers asked for are kept: keeping every
+    step made (3^400) about a fifth slower. Callers must not mutate the
+    result.
+    """
+    powers = _cycle_powers(size)
+    if mult not in powers:
+        # a snapshot of the keys: another thread may add a power meanwhile
+        below = max(m for m in list(powers) if m < mult)
+        power, factor = powers[below], _cycle_counts(size)
+        for _ in range(below, mult):
+            power = _convolve(power, factor)
+        powers[mult] = power
+    return powers[mult]
+
+
 def _factorized_counts(ct: CycleType) -> dict[tuple[int, int], int]:
     """Map (cval, exc) -> member count over the class, by the cycle product
 
@@ -433,21 +465,20 @@ def _factorized_counts(ct: CycleType) -> dict[tuple[int, int], int]:
     where C_i is :func:`_cycle_counts`: cval and exc add up over cycles
     and depend only on the relative order of each cycle's letters, and
     the scale counts the ways to split [n] into the cycles' letter sets.
+    A fixed point only counts in the denominator, since C_1 = 1, and a
+    2-cycle only shifts the product, since C_2 = st: its smaller letter
+    is its one cyclic valley and excedance. So the product starts from
+    the scale times (st)^(m_2), and takes one convolution per part size
+    above 2, by the power C_i^(m_i) of :func:`_cycle_power`.
     """
-    product = {(0, 0): 1}
-    denominator = 1
-    for size, mult in ct.multiplicities.items():
-        denominator *= factorial(size) ** mult * factorial(mult)
-        factor = _cycle_counts(size)
-        for _ in range(mult):
-            grown: dict[tuple[int, int], int] = {}
-            for (a_cval, a_exc), a in product.items():
-                for (b_cval, b_exc), b in factor.items():
-                    key = (a_cval + b_cval, a_exc + b_exc)
-                    grown[key] = grown.get(key, 0) + a * b
-            product = grown
-    scale = factorial(ct.n) // denominator
-    return {key: scale * count for key, count in product.items()}
+    mults = ct.multiplicities
+    denominator = prod(factorial(size) ** m * factorial(m) for size, m in mults.items())
+    pairs = mults.get(2, 0)
+    product = {(pairs, pairs): factorial(ct.n) // denominator}
+    for size, mult in mults.items():
+        if size > 2:
+            product = _convolve(product, _cycle_power(size, mult))
+    return product
 
 
 def _check_route(route: str) -> None:
@@ -538,7 +569,9 @@ def joint_counts(
 
     ``route="factorize"`` multiplies single-cycle distributions (see
     :func:`_factorized_counts`) and visits no member, so its cost follows
-    the number of (cval, exc) pairs, not the class size.
+    the number of (cval, exc) pairs, not the class size. Each power
+    C_i^m it multiplies comes from a per-process cache shared by every
+    class that needs it (:func:`_cycle_power`), which no caller changes.
     ``route="enumerate"`` splits [n] into cycles member by member, in
     the cycle recursion of :func:`iter_class`, and reads each cycle's
     (cval, exc) from :func:`_cycle_tables`, so it adds every member's

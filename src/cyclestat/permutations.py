@@ -25,7 +25,6 @@ and cyclic double ascents.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Collection, Iterable, NamedTuple, Sequence
@@ -250,8 +249,11 @@ class CycleType:
 
     @property
     def multiplicities(self) -> dict[int, int]:
-        """Map part size i -> number of parts of size i."""
-        return dict(Counter(self.parts))
+        """Map part size i -> number of parts of size i, in increasing i."""
+        counts: dict[int, int] = {}
+        for part in self.parts:
+            counts[part] = counts.get(part, 0) + 1
+        return counts
 
     @property
     def fixed_point_count(self) -> int:

@@ -478,6 +478,42 @@ CATALOGUE = (
         "killed",
         "the EGF table is checked from n = 1",
     ),
+    Mutant(
+        "factorized-fixed-points-leave-denominator",
+        "src/cyclestat/enumeration.py",
+        "factorial(m) for size, m in mults.items())",
+        "factorial(m) for size, m in mults.items() if size > 1)",
+        "killed",
+        "a fixed point costs no product, since C_1 = 1, but its m_1! still "
+        "divides the count of ways to split [n] into the cycles' letters",
+    ),
+    Mutant(
+        "factorized-pairs-skip-valleys",
+        "src/cyclestat/enumeration.py",
+        "product = {(pairs, pairs): ",
+        "product = {(0, pairs): ",
+        "killed",
+        "C_2 = st: each 2-cycle adds one cyclic valley as well as one "
+        "excedance",
+    ),
+    Mutant(
+        "cycle-power-one-short",
+        "src/cyclestat/enumeration.py",
+        "for _ in range(below, mult):",
+        "for _ in range(below, mult - 1):",
+        "killed",
+        "C^mult is built up from the highest kept power below it with "
+        "mult - below factors C; one fewer returns C^(mult - 1)",
+    ),
+    Mutant(
+        "convolve-adds-counts",
+        "src/cyclestat/algebra.py",
+        "out[key] = get(key, 0) + x * y",
+        "out[key] = get(key, 0) + x + y",
+        "killed",
+        "in a product of count maps the exponents add and the counts "
+        "multiply",
+    ),
 )
 
 FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)

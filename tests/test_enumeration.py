@@ -27,7 +27,7 @@ from cyclestat.enumeration import (
     partitions_of,
     z_lambda,
 )
-from cyclestat.formulas import theorem2_gamma
+from cyclestat.formulas import theorem1_joint, theorem2_gamma
 from cyclestat.permutations import CycleType, cycle_type
 
 from conftest import all_perms, oracle_cval, oracle_cycle_sizes, oracle_exc, oracle_fix
@@ -541,3 +541,49 @@ class TestRoutes:
         # i = 5 is past (n - k) // 2, where the count is 0: the route is checked first
         with pytest.raises(ValueError, match="route"):
             count_snki(3, 0, 5, route="bogus")
+
+
+class TestFactorizedRoute:
+    """The cycle product of cached powers C_i^m, against Theorem 1's
+    closed form, the enumeration oracle and its own cache."""
+
+    def test_against_theorem1_on_powers_of_one_cycle(self):
+        classes = [(i,) * m for i in range(2, 7) for m in range(1, 9)]
+        classes += [(2, 2, 2, 3, 3, 4), (1, 1, 1, 1, 5, 5, 5)]
+        for parts in classes:
+            ct = CycleType(parts)
+            assert dist_joint(ClassSpec.of_cycle_type(ct)) == theorem1_joint(ct), ct
+
+    @pytest.mark.parametrize("text", ["2,2,2,2,2", "3,3,3", "2,2,3,3"])
+    def test_against_enumeration_on_repeated_cycles(self, text):
+        spec = ClassSpec.parse(text)
+        assert joint_counts(spec) == joint_counts(spec, route="enumerate")
+
+    def test_counts_do_not_depend_on_the_cache(self):
+        # cold, then with C_3^2 cached and C_4^3 built up from C_4^2,
+        # the highest power of C_4 kept below it
+        spec = ClassSpec.parse("3,3,4,4,4")
+        enumeration._cycle_powers.cache_clear()
+        first = joint_counts(spec)
+        enumeration._cycle_powers.cache_clear()
+        for text in ("4,4,4,4", "3", "4", "3,3,3", "2,3,3,4,4"):
+            joint_counts(ClassSpec.parse(text))
+        assert joint_counts(spec) == first
+
+    def test_mutating_a_result_leaves_the_shared_powers(self):
+        shared = [ClassSpec.parse(text) for text in ("3,3,5", "1,3,3,5", "2,3,3,5")]
+        expected = [joint_counts(spec) for spec in shared]
+        counts = joint_counts(shared[0])
+        for key in counts:
+            counts[key] += 1
+        counts[(0, 0)] = 7
+        assert [joint_counts(spec) for spec in shared] == expected
+
+    @pytest.mark.parametrize("parts", [(2,) * 600, (3,) * 400])
+    def test_many_equal_cycles(self, parts):
+        # the powers are built in a loop, so their exponent is not
+        # bounded by the recursion limit
+        enumeration._cycle_powers.cache_clear()
+        ct = CycleType(parts)
+        counts = joint_counts(ClassSpec.of_cycle_type(ct))
+        assert sum(counts.values()) == class_size(ct)
