@@ -16,9 +16,9 @@ Distribution polynomials come by one of two routes, named by the
   n!/prod_i(i!^(m_i) m_i!) * prod_i C_i(s,t)^(m_i), where C_i is the
   distribution over the cyclic orders of [i], computed by an O(i^3)
   insertion recursion. Each power C_i^m is built once per process,
-  upward from the highest power kept below it, and shared by every
-  class, stratum and cell; C_1 = 1 and C_2 = st cost no product. The
-  798,336-member class (1,5,5) takes well under a millisecond.
+  one factor C_i at a time, and shared by every class, stratum and
+  cell; C_1 = 1 and C_2 = st cost no product. The 798,336-member class
+  (1,5,5) takes well under a millisecond.
 * ``"enumerate"``: fold the statistics over the stream of members
   without materializing it, adding each completed cycle's contribution
   once for the whole subtree of completions. The recursion stops at the
@@ -428,33 +428,20 @@ def _cycle_counts(m: int) -> dict[tuple[int, int], int]:
 
 
 @lru_cache(maxsize=None)
-def _cycle_powers(size: int) -> dict[int, dict[tuple[int, int], int]]:
-    """Map m -> C^m for C = :func:`_cycle_counts` (size), over m = 0 and
-    the powers :func:`_cycle_power` was asked for so far. A power, once
-    added, never changes."""
-    return {0: {(0, 0): 1}}
-
-
 def _cycle_power(size: int, mult: int) -> dict[tuple[int, int], int]:
     """C^mult for C = :func:`_cycle_counts` (size), built once per
     process and shared by every class, stratum and cell that needs it.
 
-    A missing power is built upward from the highest one kept below it,
-    one factor C at a time, in a loop: repeated squaring was measured
-    slower on powers that spread over both variables, and recursion
-    would limit mult. Only the powers asked for are kept: keeping every
-    step made (3^400) about a fifth slower. Callers must not mutate the
-    result.
+    The power is built one factor C at a time, in a loop: repeated
+    squaring was measured slower on powers that spread over both
+    variables, and recursion would limit mult. Only the powers asked for
+    are kept: keeping every step made (3^400) about a fifth slower.
+    Callers must not mutate the result.
     """
-    powers = _cycle_powers(size)
-    if mult not in powers:
-        # a snapshot of the keys: another thread may add a power meanwhile
-        below = max(m for m in list(powers) if m < mult)
-        power, factor = powers[below], _cycle_counts(size)
-        for _ in range(below, mult):
-            power = _convolve(power, factor)
-        powers[mult] = power
-    return powers[mult]
+    power, factor = {(0, 0): 1}, _cycle_counts(size)
+    for _ in range(mult):
+        power = _convolve(power, factor)
+    return power
 
 
 def _factorized_counts(ct: CycleType) -> dict[tuple[int, int], int]:
@@ -479,27 +466,6 @@ def _factorized_counts(ct: CycleType) -> dict[tuple[int, int], int]:
         if size > 2:
             product = _convolve(product, _cycle_power(size, mult))
     return product
-
-
-def _check_route(route: str) -> None:
-    if route not in ("factorize", "enumerate"):
-        raise ValueError(f"route must be 'factorize' or 'enumerate', got {route!r}")
-
-
-def _class_counts(spec: ClassSpec, route: str) -> dict[tuple[int, int], int]:
-    """Map (cval, exc) -> member count over the spec, as a fresh dict."""
-    _check_route(route)
-    if route == "factorize":
-        per_class = _factorized_counts
-    else:
-        ClassTooLargeError.check(spec.member_bound(), "%s", spec)
-        per_class = _enumerated_counts
-    combined: dict[tuple[int, int], int] = {}
-    for ct in spec.cycle_types():
-        for key, count in per_class(ct).items():
-            if spec.cval is None or key[0] == spec.cval:
-                combined[key] = combined.get(key, 0) + count
-    return combined
 
 
 def _members(
@@ -582,13 +548,29 @@ def joint_counts(
     checked against, and the only route the :func:`class_cap`
     guardrail applies to.
 
+    This is the one merge of a spec's counts: the ``dist_*`` functions
+    and :func:`count_snki` read it. It adds the counts of the spec's
+    classes, keeping only cval = ``spec.cval`` when that is set.
+
     >>> spec = ClassSpec.parse("1,2,2")
     >>> sorted(joint_counts(spec).items())
     [((2, 2), 15)]
     >>> joint_counts(spec) == joint_counts(spec, route="enumerate")
     True
     """
-    return _class_counts(spec, route)
+    if route == "factorize":
+        per_class = _factorized_counts
+    elif route == "enumerate":
+        ClassTooLargeError.check(spec.member_bound(), "%s", spec)
+        per_class = _enumerated_counts
+    else:
+        raise ValueError(f"route must be 'factorize' or 'enumerate', got {route!r}")
+    combined: dict[tuple[int, int], int] = {}
+    for ct in spec.cycle_types():
+        for key, count in per_class(ct).items():
+            if spec.cval is None or key[0] == spec.cval:
+                combined[key] = combined.get(key, 0) + count
+    return combined
 
 
 def dist_joint(spec: ClassSpec, *, route: str = "factorize") -> MultiPoly:
@@ -597,7 +579,7 @@ def dist_joint(spec: ClassSpec, *, route: str = "factorize") -> MultiPoly:
     >>> str(dist_joint(ClassSpec.parse("3")))
     's*t + s*t^2'
     """
-    return MultiPoly(_class_counts(spec, route))
+    return MultiPoly(joint_counts(spec, route=route))
 
 
 def _marginal(counts: dict[tuple[int, int], int], index: int) -> MultiPoly:
@@ -610,25 +592,21 @@ def _marginal(counts: dict[tuple[int, int], int], index: int) -> MultiPoly:
 
 def dist_exc(spec: ClassSpec, *, route: str = "factorize") -> MultiPoly:
     """Sum of t^exc over the members of the spec."""
-    return _marginal(_class_counts(spec, route), 1)
+    return _marginal(joint_counts(spec, route=route), 1)
 
 
 def dist_cval(spec: ClassSpec, *, route: str = "factorize") -> MultiPoly:
     """Sum of t^cval over the members of the spec."""
-    return _marginal(_class_counts(spec, route), 0)
+    return _marginal(joint_counts(spec, route=route), 0)
 
 
 def count_snki(n: int, k: int, i: int, *, route: str = "factorize") -> int:
     """Number of permutations of length n with k fixed points and i cyclic
-    valleys.
+    valleys: the counts of the (n, k) stratum from :func:`joint_counts`
+    at cval = i, so an i outside [0, (n-k)/2] counts 0.
 
     >>> count_snki(3, 0, 1), count_snki(3, 1, 1), count_snki(4, 4, 0)
     (2, 3, 1)
     """
-    if not 0 <= k <= n:
-        raise ValueError(f"fixed-point count {k} out of range [0, {n}]")
-    _check_route(route)
-    if i < 0 or i > (n - k) // 2:
-        return 0
-    spec = ClassSpec.with_fixed_points_and_valleys(n, k, i)
-    return sum(_class_counts(spec, route).values())
+    stratum = joint_counts(ClassSpec.with_fixed_points(n, k), route=route)
+    return sum(count for (cval, _), count in stratum.items() if cval == i)

@@ -51,7 +51,7 @@ def _validate_word(word: tuple[int, ...]) -> None:
     n = len(word)
     seen = [False] * (n + 1)
     for letter in word:
-        if not isinstance(letter, int):
+        if not isinstance(letter, int) or isinstance(letter, bool):
             raise ValueError(f"letter {letter!r} is not an integer")
         if letter == 0:
             raise ValueError("letter 0 found: words are 1-indexed, not 0-indexed")
@@ -217,7 +217,7 @@ class CycleType:
 
     def __post_init__(self) -> None:
         parts = tuple(sorted(self.parts))
-        if any(not isinstance(p, int) or p < 1 for p in parts):
+        if any(not isinstance(p, int) or isinstance(p, bool) or p < 1 for p in parts):
             raise ValueError(f"parts must be positive integers, got {self.parts!r}")
         object.__setattr__(self, "parts", parts)
 
@@ -360,9 +360,8 @@ def _link_classes(nxt: list[int], prv: list[int]) -> tuple[list[int], ...]:
     :func:`_links` are ``nxt`` and ``prv``, in ``StatSets`` field order:
     excedances, cyclic valleys, peaks, double ascents, double descents
     and fixed points, each list increasing. The one classification loop,
-    which :func:`stat_sets` and :func:`stat_counts` read through
-    :func:`_letter_classes`, and ``hopping.orbit`` reads from the links
-    it walks."""
+    which :func:`stat_sets` and :func:`stat_counts` read from the links
+    of the word, and ``hopping.orbit`` from the links it walks."""
     exc, cval, cpk, cdasc, cddes, fix = [], [], [], [], [], []
     for i in range(1, len(nxt)):
         a, b = prv[i], nxt[i]
@@ -383,13 +382,8 @@ def _link_classes(nxt: list[int], prv: list[int]) -> tuple[list[int], ...]:
     return exc, cval, cpk, cdasc, cddes, fix
 
 
-def _letter_classes(p: Permutation) -> tuple[list[int], ...]:
-    """:func:`_link_classes` of p."""
-    return _link_classes(*_links(p.word))
-
-
 def stat_sets(p: Permutation) -> StatSets:
-    """Classify every letter of p: the lists of :func:`_letter_classes`,
+    """Classify every letter of p: the lists of :func:`_link_classes`,
     frozen.
 
     >>> p = from_one_line([5, 1, 7, 3, 2, 6, 11, 8, 10, 4, 9])
@@ -399,19 +393,19 @@ def stat_sets(p: Permutation) -> StatSets:
     >>> sorted(s.cpk_set), sorted(s.cdasc_set), sorted(s.cddes_set), sorted(s.fix_set)
     ([5, 10, 11], [7], [2, 4], [6, 8])
     """
-    return StatSets(*map(frozenset, _letter_classes(p)))
+    return StatSets(*map(frozenset, _link_classes(*_links(p.word))))
 
 
 def stat_counts(p: Permutation) -> StatCounts:
     """Cardinalities of the six statistic sets: the lengths of the lists
-    of :func:`_letter_classes`, so no set is built. No list repeats a
+    of :func:`_link_classes`, so no set is built. No list repeats a
     letter, so these are the sizes of the sets :func:`stat_sets` freezes
     from the same lists.
 
     >>> stat_counts(from_one_line([2, 3, 1]))
     StatCounts(exc=2, cval=1, cpk=1, cdasc=1, cddes=0, fix=0)
     """
-    return StatCounts(*map(len, _letter_classes(p)))
+    return StatCounts(*map(len, _link_classes(*_links(p.word))))
 
 
 _CYCLE_TOKEN = re.compile(r"\(([^()]*)\)")

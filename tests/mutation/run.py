@@ -119,7 +119,7 @@ CATALOGUE = (
         "formulas-private-import",
         "src/cyclestat/formulas.py",
         "from .enumeration import (\n",
-        "from .enumeration import (\n    _class_counts,\n",
+        "from .enumeration import (\n    _enumerated_counts,\n",
         "killed",
         "formulas must not import private enumeration names",
     ),
@@ -167,8 +167,8 @@ CATALOGUE = (
     Mutant(
         "stat-counts-wrong-list",
         "src/cyclestat/permutations.py",
-        "return StatCounts(*map(len, _letter_classes(p)))",
-        "exc, cval, cpk, cdasc, cddes, fix = map(len, _letter_classes(p))\n"
+        "return StatCounts(*map(len, _link_classes(*_links(p.word))))",
+        "exc, cval, cpk, cdasc, cddes, fix = map(len, _link_classes(*_links(p.word)))\n"
         "    return StatCounts(exc, cval, cpk, cdasc, cdasc, fix)",
         "killed",
         "each count is the length of its own class's list",
@@ -499,11 +499,19 @@ CATALOGUE = (
     Mutant(
         "cycle-power-one-short",
         "src/cyclestat/enumeration.py",
-        "for _ in range(below, mult):",
-        "for _ in range(below, mult - 1):",
+        "for _ in range(mult):",
+        "for _ in range(mult - 1):",
         "killed",
-        "C^mult is built up from the highest kept power below it with "
-        "mult - below factors C; one fewer returns C^(mult - 1)",
+        "C^mult is built with mult factors C; one fewer returns C^(mult - 1)",
+    ),
+    Mutant(
+        "count-snki-cell-filter",
+        "src/cyclestat/enumeration.py",
+        "if cval == i)",
+        "if cval >= i)",
+        "killed",
+        "a cell counts only the members of its stratum with exactly i "
+        "cyclic valleys",
     ),
     Mutant(
         "convolve-adds-counts",

@@ -468,10 +468,21 @@ class TestCountSnki:
     def test_out_of_range_is_zero(self):
         assert count_snki(3, 0, 5) == 0
         assert count_snki(4, 4, 1) == 0
+        # i < 0 and i past (n - k) // 2 are read off the stratum, not refused
+        for route in ROUTES:
+            for n in range(0, 7):
+                for k in range(0, n + 1):
+                    for i in (-2, -1, (n - k) // 2 + 1, (n - k) // 2 + 2):
+                        assert count_snki(n, k, i, route=route) == 0, (n, k, i, route)
 
     def test_bad_k(self):
         with pytest.raises(ValueError):
             count_snki(3, 4, 0)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_bad_n(self, route):
+        with pytest.raises(ValueError, match="nonnegative"):
+            count_snki(-1, 0, 0, route=route)
 
     @pytest.mark.parametrize("route", ROUTES)
     def test_against_direct_scan(self, route):
@@ -528,17 +539,19 @@ class TestRoutes:
 
     @pytest.mark.parametrize("route", ROUTES)
     def test_returns_a_fresh_dict(self, route):
-        spec = ClassSpec.parse("1,2,3")
-        counts = joint_counts(spec, route=route)
-        expected = dict(counts)
-        counts[(0, 0)] = 99
-        counts.clear()
-        assert joint_counts(spec, route=route) == expected
+        # a class, a stratum and a cell: each merge leaves the cached counts
+        for text in ("1,2,3", "n=6,k=1", "n=6,k=1,i=2"):
+            spec = ClassSpec.parse(text)
+            counts = joint_counts(spec, route=route)
+            expected = dict(counts)
+            counts[(0, 0)] = 99
+            counts.clear()
+            assert joint_counts(spec, route=route) == expected, text
 
     def test_unknown_route(self):
         with pytest.raises(ValueError, match="route"):
             dist_joint(ClassSpec.parse("3"), route="sample")
-        # i = 5 is past (n - k) // 2, where the count is 0: the route is checked first
+        # i = 5 is past (n - k) // 2, where the count is 0: the route is still checked
         with pytest.raises(ValueError, match="route"):
             count_snki(3, 0, 5, route="bogus")
 
@@ -560,12 +573,11 @@ class TestFactorizedRoute:
         assert joint_counts(spec) == joint_counts(spec, route="enumerate")
 
     def test_counts_do_not_depend_on_the_cache(self):
-        # cold, then with C_3^2 cached and C_4^3 built up from C_4^2,
-        # the highest power of C_4 kept below it
+        # cold, then with other powers of C_3 and C_4 cached
         spec = ClassSpec.parse("3,3,4,4,4")
-        enumeration._cycle_powers.cache_clear()
+        enumeration._cycle_power.cache_clear()
         first = joint_counts(spec)
-        enumeration._cycle_powers.cache_clear()
+        enumeration._cycle_power.cache_clear()
         for text in ("4,4,4,4", "3", "4", "3,3,3", "2,3,3,4,4"):
             joint_counts(ClassSpec.parse(text))
         assert joint_counts(spec) == first
@@ -583,7 +595,7 @@ class TestFactorizedRoute:
     def test_many_equal_cycles(self, parts):
         # the powers are built in a loop, so their exponent is not
         # bounded by the recursion limit
-        enumeration._cycle_powers.cache_clear()
+        enumeration._cycle_power.cache_clear()
         ct = CycleType(parts)
         counts = joint_counts(ClassSpec.of_cycle_type(ct))
         assert sum(counts.values()) == class_size(ct)

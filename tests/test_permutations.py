@@ -62,6 +62,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="out of range"):
             from_one_line((1, 5))
 
+    @pytest.mark.parametrize("word", [(True,), (2, True), (False, 1)])
+    def test_rejects_bool_letters(self, word):
+        # bool is a subclass of int, but True is not the letter 1
+        with pytest.raises(ValueError, match="not an integer"):
+            Permutation(word)
+
     def test_roundtrip_word(self):
         for p in all_perms(5):
             assert from_one_line(p.word) == p
@@ -166,6 +172,10 @@ class TestCycleForm:
         with pytest.raises(ValueError):
             CycleForm(((1, 3),))
 
+    def test_rejects_bool_letters(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            CycleForm(((True, 2),))
+
     def test_roundtrip_exhaustive(self):
         for n in range(0, 7):
             for p in all_perms(n):
@@ -213,6 +223,11 @@ class TestCycleType:
     def test_rejects_bad_parts(self):
         with pytest.raises(ValueError):
             CycleType((0, 2))
+
+    @pytest.mark.parametrize("parts", [(True,), (True, 2), (False, 3)])
+    def test_rejects_bool_parts(self, parts):
+        with pytest.raises(ValueError, match="positive integers"):
+            CycleType(parts)
 
 
 class TestDescents:
