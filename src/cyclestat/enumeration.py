@@ -40,10 +40,10 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, compress, permutations
+from itertools import chain, combinations, compress, permutations, repeat
 from math import factorial, prod
 from operator import lt
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .algebra import MultiPoly, _convolve
 from .permutations import CycleType, Permutation, _word_from_cycles
@@ -258,10 +258,12 @@ def class_cap() -> int:
 
 
 @lru_cache(maxsize=None)
-def _cycle_tables(m: int) -> tuple[bytes, bytes, bytes]:
+def _cycle_tables(m: int) -> tuple[Iterable[int], bytes, bytes]:
     """(keep, cvals, excs) over the cycles (0, *order) of size m, one
     byte per order of the m - 1 letters 1..m-1 after the anchor 0, in
-    ``itertools.permutations`` order; ``keep`` keeps every order.
+    ``itertools.permutations`` order. ``keep`` keeps every order: it is
+    an endless ``repeat(1)``, which holds no state, so the one cached
+    selector serves every ``compress`` that reads it at once.
 
     The anchor is the cycle minimum, so it is a cyclic valley and an
     excedance (for m >= 2), and the last letter is neither. In between,
@@ -269,20 +271,20 @@ def _cycle_tables(m: int) -> tuple[bytes, bytes, bytes]:
     descent runs into it and an ascent out: with the ascents of the
     order as a 0/1 string, exc counts its ones and cval its "01"s, which
     cannot overlap. Built from generators straight into ``bytes``: about
-    3 (m-1)! bytes are kept, and no Python object per order. A fixed
+    2 (m-1)! bytes are kept, and no Python object per order. A fixed
     point (m = 1) and the empty cycle (m = 0) of a class of fixed points
     alone each have one order, with cval = exc = 0.
 
     >>> _cycle_tables(3)
-    (b'\\x01\\x01', b'\\x01\\x01', b'\\x02\\x01')
+    (repeat(1), b'\\x01\\x01', b'\\x02\\x01')
     """
     if m <= 1:
-        return b"\1", b"\0", b"\0"
+        return repeat(1), b"\0", b"\0"
     ascents = (bytes(map(lt, order, order[1:])) for order in permutations(range(1, m)))
     pairs = bytes(
         chain.from_iterable((1 + up.count(b"\0\1"), 1 + up.count(1)) for up in ascents)
     )
-    return b"\1" * factorial(m - 1), pairs[0::2], pairs[1::2]
+    return repeat(1), pairs[0::2], pairs[1::2]
 
 
 @lru_cache(maxsize=None)
@@ -300,7 +302,7 @@ def _valley_tables(m: int) -> tuple[bytes, bytes, bytes]:
 
 
 def _iter_cycle_lists(
-    tables: Callable[[int], tuple[bytes, bytes, bytes]],
+    tables: Callable[[int], tuple[Iterable[int], bytes, bytes]],
     avail: tuple[int, ...],
     sizes: tuple[int, ...],
     head: tuple[tuple[int, ...], ...] = (),
@@ -469,7 +471,7 @@ def _factorized_counts(ct: CycleType) -> dict[tuple[int, int], int]:
 
 
 def _members(
-    spec: ClassSpec, tables: Callable[[int], tuple[bytes, bytes, bytes]]
+    spec: ClassSpec, tables: Callable[[int], tuple[Iterable[int], bytes, bytes]]
 ) -> Iterator[Permutation]:
     """The members of the spec whose cycles ``tables`` keeps, in the
     order of :func:`_iter_cycle_lists`.
@@ -603,7 +605,9 @@ def dist_cval(spec: ClassSpec, *, route: str = "factorize") -> MultiPoly:
 def count_snki(n: int, k: int, i: int, *, route: str = "factorize") -> int:
     """Number of permutations of length n with k fixed points and i cyclic
     valleys: the counts of the (n, k) stratum from :func:`joint_counts`
-    at cval = i, so an i outside [0, (n-k)/2] counts 0.
+    at cval = i, so an i outside [0, (n-k)/2] counts 0. The enumerate
+    route walks the whole stratum, so its guardrail names the stratum
+    (``n=5,k=0``), not the cell.
 
     >>> count_snki(3, 0, 1), count_snki(3, 1, 1), count_snki(4, 4, 0)
     (2, 3, 1)

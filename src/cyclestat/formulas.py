@@ -56,8 +56,10 @@ classes with n <= 16 and 6.3 MiB for all 7,338 classes with n <= 24
   compares with them.
   ``theorem2_gamma`` is the one count of those gammas: Theorem 5 and
   Corollaries 3 and 4 reconstruct their right sides from its
-  ``by_orbit_scaling`` reading, and all four compare the enumerated
-  dist_exc with a reconstruction in one shared check.
+  ``by_orbit_scaling`` reading. Theorem 2 and the corollaries compare
+  the enumerated dist_exc with a reconstruction in one shared check;
+  Theorem 5 compares the two sides as the theorem states them, each
+  times 2^(n-k).
 * ``egf_snki``: the table of counts by (length, fixed points, cyclic
   valleys) extracted from an exponential generating function, computed
   radical-free on lists of ints in t: the fixed points split off as
@@ -73,9 +75,9 @@ a claim's row and yields its reports over its range.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb, factorial
 
 from .algebra import (
@@ -120,22 +122,13 @@ __all__ = [
 ]
 
 
-def _first_difference(lhs: MultiPoly, rhs: MultiPoly):
-    for key in sorted(lhs._terms.keys() | rhs._terms.keys()):
-        a, b = lhs._terms.get(key, 0), rhs._terms.get(key, 0)
-        if a != b:
-            return {"monomial": {"s": key[0], "t": key[1]}, "lhs": str(a), "rhs": str(b)}
-    return None
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of checking one identity instance: pass iff lhs == rhs.
 
-    ``passed`` is computed once per report and cached: both sides are
-    immutable, so every later reading (``verdict``, the JSON record)
-    sees the same comparison. ``dataclasses.replace`` builds a new
-    report, which compares its own sides afresh.
+    Both sides are immutable, so every reading of ``passed`` (``verdict``,
+    the JSON record) gives the same answer; it compares them each time,
+    which costs less than caching the comparison.
     """
 
     claim: str
@@ -143,7 +136,7 @@ class VerificationReport:
     lhs: MultiPoly
     rhs: MultiPoly
 
-    @cached_property
+    @property
     def passed(self) -> bool:
         return self.lhs == self.rhs
 
@@ -153,8 +146,14 @@ class VerificationReport:
 
     @property
     def witness(self):
-        """First differing coefficient, or None when the check passes."""
-        return _first_difference(self.lhs, self.rhs)
+        """First differing coefficient in monomial order, or None when the
+        check passes."""
+        lhs, rhs = self.lhs._terms, self.rhs._terms
+        for key in sorted(lhs.keys() | rhs.keys()):
+            a, b = lhs.get(key, 0), rhs.get(key, 0)
+            if a != b:
+                return {"monomial": {"s": key[0], "t": key[1]}, "lhs": str(a), "rhs": str(b)}
+        return None
 
     def to_json_record(self) -> dict:
         record = {"claim": self.claim, "instance": self.instance, "verdict": self.verdict}
@@ -375,15 +374,14 @@ def theorem5_check(spec: ClassSpec) -> VerificationReport:
 
     dist_exc * 2^(n-k) = sum_i c_i 4^i t^i (1+t)^(n-k-2i)
     where c_i is the number of members with i cyclic valleys. The right
-    side is 2^(n-k) times the reconstruction from
-    ``theorem2_gamma(spec).by_orbit_scaling``, since
+    side is the reconstruction from the gammas of
+    ``theorem2_gamma(spec).by_orbit_scaling`` times 2^(n-k), since
     c_i 4^i = 2^(n-k) c_i / 2^(n-k-2i).
     """
-    report = _reconstruction_check(
-        "theorem5", spec, theorem2_gamma(spec).by_orbit_scaling
-    )
     scale = 2 ** (spec.n - spec.fixed_point_count)
-    return replace(report, lhs=report.lhs * scale, rhs=report.rhs * scale)
+    lhs = dist_exc(spec, route="enumerate") * scale
+    gammas = [g * scale for g in theorem2_gamma(spec).by_orbit_scaling]
+    return VerificationReport("theorem5", spec.instance(), lhs, _reconstruction(spec, gammas))
 
 
 @dataclass(frozen=True)
@@ -436,8 +434,8 @@ def _reconstruction(spec: ClassSpec, gammas) -> MultiPoly:
 
 def _reconstruction_check(claim: str, spec: ClassSpec, gammas) -> VerificationReport:
     """The one comparison of the enumerated dist_exc(spec) with the
-    reconstruction from ``gammas``, shared by Theorems 2 and 5 and
-    Corollaries 3 and 4."""
+    reconstruction from ``gammas``, shared by Theorem 2 and Corollaries 3
+    and 4."""
     return VerificationReport(
         claim,
         spec.instance(),

@@ -61,8 +61,8 @@ CATALOGUE = (
     Mutant(
         "theorem5-one-sided-scale",
         "src/cyclestat/formulas.py",
-        "rhs=report.rhs * scale",
-        "rhs=report.rhs",
+        "[g * scale for g in theorem2_gamma(spec).by_orbit_scaling]",
+        "theorem2_gamma(spec).by_orbit_scaling",
         "killed",
         "Theorem 5 clears both sides by 2^(n-k)",
     ),
@@ -291,6 +291,15 @@ CATALOGUE = (
         "the cycle tables list cval, then exc",
     ),
     Mutant(
+        "cycle-tables-selector-one-short",
+        "src/cyclestat/enumeration.py",
+        "return repeat(1), pairs",
+        "return repeat(1, factorial(m - 1) - 1), pairs",
+        "killed",
+        "a full cycle table keeps all (m-1)! orders; a selector one short "
+        "drops the last order of every cycle of that size",
+    ),
+    Mutant(
         "eulerian-row-unshifted",
         "src/cyclestat/formulas.py",
         "row[j] = c",
@@ -302,10 +311,18 @@ CATALOGUE = (
     Mutant(
         "first-difference-order",
         "src/cyclestat/formulas.py",
-        "for key in sorted(lhs._terms.keys() | rhs._terms.keys()):",
-        "for key in sorted(lhs._terms.keys() | rhs._terms.keys(), reverse=True):",
+        "for key in sorted(lhs.keys() | rhs.keys()):",
+        "for key in sorted(lhs.keys() | rhs.keys(), reverse=True):",
         "killed",
         "the witness is the first differing coefficient in monomial order",
+    ),
+    Mutant(
+        "report-passed-reads-one-side",
+        "src/cyclestat/formulas.py",
+        "self.lhs == self.rhs",
+        "self.lhs == self.lhs",
+        "killed",
+        "a report passes only when its two sides are equal",
     ),
     Mutant(
         "lemma1-profile-exponent",

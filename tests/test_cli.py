@@ -185,12 +185,21 @@ class TestDist:
         ids=lambda argv: "-".join(argv[:2]),
     )
     def test_guardrail_distinct_exit(self, capsys, monkeypatch, argv):
-        # every enumeration in verify honours the cap; (1,2,2) has 15
-        # members and (5) has 24
+        # every enumeration in verify honours the cap and names what it
+        # refused: (1,2,2) has 15 members, (5) has 24 and S_5's
+        # derangements 44. egf counts its cells through count_snki, which
+        # walks and names the whole stratum; cor4 walks the cell itself.
+        labels = {
+            "lemma1": "(5) has 24",
+            "cor3": "n=5,k=0 has 44",
+            "cor4": "n=5,k=0,i=0 has 44",
+            "egf": "n=5,k=0 has 44",
+        }
         monkeypatch.setenv("CYCLESTAT_CLASS_CAP", "10")
         code, _, err = run(capsys, *argv)
         assert code == EXIT_TOO_LARGE
-        assert "class too large" in err
+        label = labels.get(argv[1], "(1,2,2) has 15")
+        assert err == f"class too large: {label} members, above the cap of 10\n"
 
 
 class TestVerify:

@@ -643,21 +643,28 @@ class TestTheorem2:
         assert report.to_json_record()["verdict"] == "pass"
 
     @pytest.mark.parametrize(
-        "check",
+        "check, instance, rhs",
         [
-            lambda: theorem2_check(ClassSpec.parse("n=3,k=0")),
-            lambda: theorem5_check(ClassSpec.parse("n=3,k=0")),
-            lambda: corollary3_check(3, 0),
-            lambda: corollary4_check(3, 0, 1),
+            (lambda: theorem2_check(ClassSpec.parse("n=3,k=0")), {"n": 3, "k": 0}, "1"),
+            (lambda: theorem5_check(ClassSpec.parse("n=3,k=0")), {"n": 3, "k": 0}, "8"),
+            (lambda: corollary3_check(3, 0), {"n": 3, "k": 0}, "1"),
+            (lambda: corollary4_check(3, 0, 1), {"n": 3, "k": 0, "i": 1}, "1"),
         ],
         ids=["theorem2", "theorem5", "cor3", "cor4"],
     )
-    def test_asymmetric_exc_fails_with_a_witness(self, monkeypatch, check):
+    def test_asymmetric_exc_fails_with_a_witness(self, monkeypatch, check, instance, rhs):
         # No gamma expansion exists about 3/2; the checks report, not raise.
+        # The left side t (times 2^3 for Theorem 5) first differs from the
+        # reconstruction t(1+t) (times 2^3) at t^2.
         monkeypatch.setattr("cyclestat.formulas.dist_exc", lambda spec, route: T)
         report = check()
         assert not report.passed
-        assert report.witness is not None
+        assert report.to_json_record() == {
+            "claim": report.claim,
+            "instance": instance,
+            "verdict": "fail",
+            "witness": {"monomial": {"s": 0, "t": 2}, "lhs": "0", "rhs": rhs},
+        }
 
     def test_disagreeing_readings_are_the_two_sides(self, monkeypatch):
         # One member with exc 1 and cval 0: no no-double-ascent count,
@@ -670,8 +677,17 @@ class TestTheorem2:
         assert report.lhs == MultiPoly.zero()
         assert report.rhs == (ONE + T) ** 2 * Fraction(1, 4)
 
-    @pytest.mark.parametrize("text", ["1,2,2,4", "n=6,k=1"])
-    def test_closed_form_gammas_are_a_third_reading(self, monkeypatch, text):
+    @pytest.mark.parametrize(
+        "text, instance, lhs, rhs",
+        [
+            ("1,2,2,4", {"lambda": [1, 2, 2, 4]}, "0", "1"),
+            ("n=6,k=1", {"n": 6, "k": 1}, "6", "8"),
+        ],
+        ids=["1,2,2,4", "n=6,k=1"],
+    )
+    def test_closed_form_gammas_are_a_third_reading(
+        self, monkeypatch, text, instance, lhs, rhs
+    ):
         # One Q_a of each class off by one: the enumerated readings still
         # agree, so the report compares the no-double-ascent
         # reconstruction, dist_exc itself, with the closed form's.
@@ -688,7 +704,12 @@ class TestTheorem2:
         m = spec.n - spec.fixed_point_count
         assert report.lhs == dist_exc(spec, route="enumerate")
         assert report.rhs - report.lhs == len(spec.cycle_types()) * T * (1 + T) ** (m - 2)
-        assert report.witness["monomial"] == {"s": 0, "t": 1}
+        assert report.to_json_record() == {
+            "claim": "theorem2",
+            "instance": instance,
+            "verdict": "fail",
+            "witness": {"monomial": {"s": 0, "t": 1}, "lhs": lhs, "rhs": rhs},
+        }
 
 
 class TestCorollaries:
